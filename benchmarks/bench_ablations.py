@@ -144,7 +144,7 @@ def bench_opbuffer_backend_sweep(benchmark):
                 batches = monotone_batches(n_parts, batch, n_ops)
                 stab_every = max(1, 400 // batch)
                 cell = {}
-                for backend in ("runs", "rbtree", "avl"):
+                for backend in ("runs", "rbtree"):
                     best = min(
                         _timed(opbuffer_ingestion, backend, batches,
                                stab_every)
@@ -153,21 +153,20 @@ def bench_opbuffer_backend_sweep(benchmark):
                 rows.append((n_parts, batch,
                              round(cell["runs"] * 1e3, 2),
                              round(cell["rbtree"] * 1e3, 2),
-                             round(cell["avl"] * 1e3, 2),
                              round(cell["rbtree"] / cell["runs"], 2)))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()
     print(format_table(
-        ["n_parts", "batch", "runs_ms", "rbtree_ms", "avl_ms", "speedup"],
+        ["n_parts", "batch", "runs_ms", "rbtree_ms", "speedup"],
         rows))
     # The tentpole acceptance bar — >=3x at batch >= 8 — is asserted at the
     # gated configuration (16 partitions, matching bench_opbuffer_ingestion);
     # other partition counts get a looser floor: the k-way-merge fan-in
     # grows with partition count, and their margins (~3.1x at 64 parts on
     # the baseline machine) are too thin to hard-fail on noise.
-    for n_parts, batch, _, _, _, speedup in rows:
+    for n_parts, batch, _, _, speedup in rows:
         if batch < 8:
             continue
         floor = 3.0 if n_parts == 16 else 2.0

@@ -5,7 +5,7 @@ experiment can afford; these benchmarks keep regressions visible.
 """
 
 from repro.clocks import HybridLogicalClock, PhysicalClock
-from repro.sim import ConstantLatency, Environment, Network, Process, TimeWheelLoop
+from repro.sim import ConstantLatency, Environment, EventLoop, Network, Process
 
 
 def bench_event_loop_throughput(benchmark):
@@ -61,8 +61,8 @@ def bench_event_loop_throughput_batched(benchmark):
 
     ``bench_event_loop_throughput`` pays one scheduled event per op — the
     pre-batching shape, where per-event loop overhead bounds how much
-    simulated load CI can afford.  Here one ``schedule_periodic`` handle on
-    the time wheel consumes a 64-op block per firing (the ``OpBlock`` /
+    simulated load CI can afford.  Here one ``schedule_periodic`` handle
+    consumes a 64-op block per firing (the ``OpBlock`` /
     ``send_many`` shipping shape), so the loop schedules ~1/64th the events
     for the same op count; the ratio between the two benches is the
     amortization the batched APIs buy.
@@ -71,7 +71,7 @@ def bench_event_loop_throughput_batched(benchmark):
     TOTAL = 50_048                   # 782 block firings x 64 ops
 
     def run_blocks():
-        loop = TimeWheelLoop()
+        loop = EventLoop()
         count = [0]
         block = list(range(BLOCK))
 

@@ -9,16 +9,15 @@ Two layers of benchmarks:
   must beat the red–black tree's O(log n) inserts by ≥3× at batch ≥ 8 —
   the acceptance bar of the ``buffer_backend="runs"`` change, gated by
   ``scripts/bench_gate.py`` against the committed baseline.
-* the original tree micro-benches — the paper's red–black vs AVL ablation
-  (insert-heavy mix, random inserts, prefix extraction), kept as the
-  tree-level ground truth.
+* the red–black tree micro-benches (insert-heavy mix, random inserts,
+  prefix extraction), kept as the tree-level ground truth.
 """
 
 import random
 
 import pytest
 
-from repro.datastruct import AVLTree, OpBuffer, RedBlackTree
+from repro.datastruct import OpBuffer, RedBlackTree
 
 N_OPS = 20_000
 
@@ -62,7 +61,7 @@ def opbuffer_ingestion(backend, batches, stab_every):
 
 @pytest.mark.parametrize("batch", [1, 8, 64],
                          ids=["b1", "b8", "b64"])
-@pytest.mark.parametrize("backend", ["runs", "rbtree", "avl"])
+@pytest.mark.parametrize("backend", ["runs", "rbtree"])
 def bench_opbuffer_ingestion(benchmark, backend, batch):
     batches = monotone_batches(n_partitions=16, batch=batch, n_ops=N_OPS)
     stab_every = max(1, 400 // batch)   # ~one drain per 400 ops, every size
@@ -72,7 +71,7 @@ def bench_opbuffer_ingestion(benchmark, backend, batch):
 
 
 # ----------------------------------------------------------------------
-# Tree-level primitives (the paper's red-black vs AVL ablation)
+# Tree-level primitives (the paper's red-black tree)
 # ----------------------------------------------------------------------
 
 
@@ -95,14 +94,12 @@ def eunomia_access_pattern(tree_cls, n_ops=N_OPS, stab_every=500):
     return tree
 
 
-@pytest.mark.parametrize("tree_cls", [RedBlackTree, AVLTree],
-                         ids=["red-black", "avl"])
+@pytest.mark.parametrize("tree_cls", [RedBlackTree], ids=["red-black"])
 def bench_eunomia_buffer_pattern(benchmark, tree_cls):
     benchmark(eunomia_access_pattern, tree_cls)
 
 
-@pytest.mark.parametrize("tree_cls", [RedBlackTree, AVLTree],
-                         ids=["red-black", "avl"])
+@pytest.mark.parametrize("tree_cls", [RedBlackTree], ids=["red-black"])
 def bench_random_inserts(benchmark, tree_cls):
     rng = random.Random(11)
     keys = [rng.randrange(10**9) for _ in range(N_OPS)]
@@ -116,8 +113,7 @@ def bench_random_inserts(benchmark, tree_cls):
     benchmark(insert_all)
 
 
-@pytest.mark.parametrize("tree_cls", [RedBlackTree, AVLTree],
-                         ids=["red-black", "avl"])
+@pytest.mark.parametrize("tree_cls", [RedBlackTree], ids=["red-black"])
 def bench_ordered_prefix_extraction(benchmark, tree_cls):
     rng = random.Random(13)
     keys = [rng.randrange(10**9) for _ in range(N_OPS)]

@@ -4,13 +4,14 @@
 Builds the paper's deployment (3 DCs over the Virginia/Oregon/Ireland RTT
 matrix, 8 partitions and a handful of client sessions per DC), runs a
 read-heavy workload for a few simulated seconds, and prints throughput,
-remote-update visibility, and the convergence check.
+remote-update visibility, and the convergence check.  Exits non-zero
+unless every datacenter converged.
 
 Run:
     python examples/quickstart.py
 """
 
-from repro import GeoSystemSpec, WorkloadSpec, build_system
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.metrics import percentile
 
 
@@ -19,7 +20,7 @@ def main() -> None:
                          seed=2026)
     workload = WorkloadSpec(read_ratio=0.9, n_keys=1000, value_bytes=100)
 
-    system = build_system("eunomia", spec, workload)
+    system = build_geo_system("eunomia", spec, workload)
     print("running 5 simulated seconds of EunomiaKV ...")
     system.run(duration=5.0)
 
@@ -36,7 +37,10 @@ def main() -> None:
 
     print("quiescing and checking convergence ...")
     system.quiesce(drain=3.0)
-    print(f"all datacenters converged: {system.converged()}")
+    converged = system.converged()
+    print(f"all datacenters converged: {converged}")
+    if not converged:
+        raise SystemExit("datacenters diverged after quiescing")
 
 
 if __name__ == "__main__":

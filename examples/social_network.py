@@ -15,13 +15,14 @@ dependency — Alice's post, named in the comment's vector timestamp — has
 been applied locally, so the anomaly is impossible by construction.
 
 This script drives both systems through the same scenario and counts
-orphaned comments Carol actually observes.
+orphaned comments Carol actually observes.  It exits non-zero unless
+eventual consistency shows the anomaly and EunomiaKV shows none.
 
 Run:
     python examples/social_network.py
 """
 
-from repro import GeoSystemSpec, WorkloadSpec, build_system
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.core.messages import ClientRead, ClientUpdate
 from repro.sim.latency import RttMatrix
 from repro.sim.process import Process
@@ -145,7 +146,7 @@ class Carol(Session):
 def run_scenario(protocol: str) -> tuple[int, int]:
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=1,
                          seed=7, rtt=TRIANGLE)
-    system = build_system(protocol, spec, WorkloadSpec(read_ratio=1.0))
+    system = build_geo_system(protocol, spec, WorkloadSpec(read_ratio=1.0))
     for client in system.clients:
         client.stop()  # the actors below replace the generic workload
     ring = system.clients[0].ring
@@ -168,12 +169,19 @@ def run_scenario(protocol: str) -> tuple[int, int]:
 
 def main() -> None:
     print(__doc__.split("Run:")[0])
+    orphans_of = {}
     for protocol in ("eventual", "eunomia"):
         checked, orphans = run_scenario(protocol)
+        orphans_of[protocol] = orphans
         verdict = ("CAUSALITY VIOLATED" if orphans
                    else "no anomalies")
         print(f"{protocol:>9}: Carol checked {checked:3d} comment/post "
               f"pairs, {orphans:3d} orphaned comments -> {verdict}")
+    if orphans_of["eunomia"]:
+        raise SystemExit("EunomiaKV let Carol see orphaned comments")
+    if not orphans_of["eventual"]:
+        raise SystemExit("eventual consistency showed no anomaly: "
+                         "the scenario no longer exercises causality")
 
 
 if __name__ == "__main__":

@@ -178,7 +178,11 @@ def stale_entries(baseline_path: Path, bench_dir: Path) -> list[str]:
 
 
 def prune_baseline(baseline_path: Path, orphans: list[str]) -> None:
-    """Rewrite the baseline file with the orphaned entries removed."""
+    """Rewrite the baseline file with the orphaned entries removed.
+
+    Keeps pytest-benchmark's own layout (4-space indent, key order as
+    written), so a prune's diff shows only the dropped entries.
+    """
     with open(baseline_path) as fh:
         data = json.load(fh)
     dead = set(orphans)
@@ -186,8 +190,7 @@ def prune_baseline(baseline_path: Path, orphans: list[str]) -> None:
         bench for bench in data.get("benchmarks", [])
         if (bench.get("fullname") or bench["name"]) not in dead
     ]
-    baseline_path.write_text(json.dumps(data, indent=2, sort_keys=True)
-                             + "\n")
+    baseline_path.write_text(json.dumps(data, indent=4))
 
 
 def main(argv: list[str] | None = None) -> int:

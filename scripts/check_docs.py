@@ -18,16 +18,11 @@ Checks, with zero dependencies beyond the stdlib:
    documented in both README.md and docs/ARCHITECTURE.md, so a newly
    registered plugin cannot ship undocumented (and a renamed one cannot
    leave stale docs behind);
-5. every recognized value of the ablation-knob name tuples — the
-   scheduler backends (``sim/env.py``), WAL codecs
-   (``durability/wal.py``), chaos fault classes (``harness/chaos.py``),
-   placement policies (``core/placement.py``), and tracing pipeline
-   stages (``obs/trace.py``) — is documented in both README.md and
-   docs/ARCHITECTURE.md, same rationale as the protocol registry.
-6. every behavioural config-field knob in ``CONFIG_FIELD_KNOBS``
-   (currently ``receiver_pipeline``, the batched-dataplane apply depth)
-   still exists on its dataclass and is documented code-formatted in
-   both README.md and docs/ARCHITECTURE.md.
+5. every recognized value of the knob name tuples — chaos fault classes
+   (``harness/chaos.py``), placement policies (``core/placement.py``),
+   and tracing pipeline stages (``obs/trace.py``) — is documented in
+   both README.md and docs/ARCHITECTURE.md, same rationale as the
+   protocol registry.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -155,8 +150,6 @@ def check_protocols_documented() -> list[str]:
 #: knob-name tuples whose every value must appear (code-formatted) in the
 #: docs: (source file, tuple variable name)
 KNOB_TUPLES = [
-    (REPO / "src" / "repro" / "sim" / "env.py", "SCHEDULER_BACKENDS"),
-    (REPO / "src" / "repro" / "durability" / "wal.py", "WAL_CODECS"),
     (REPO / "src" / "repro" / "harness" / "chaos.py", "FAULT_CLASSES"),
     (REPO / "src" / "repro" / "core" / "placement.py", "PLACEMENT_POLICIES"),
     (REPO / "src" / "repro" / "obs" / "trace.py", "STAGES"),
@@ -169,33 +162,6 @@ def knob_values(path: Path, var: str) -> list[str]:
     if not match:
         return []
     return re.findall(r'"(\w+)"', match.group(1))
-
-
-#: behavioural config-field knobs that must stay documented: every field
-#: listed here must exist on its dataclass and appear code-formatted in
-#: both README.md and docs/ARCHITECTURE.md (same rationale as the name
-#: tuples above; these are single typed fields rather than value tuples)
-CONFIG_FIELD_KNOBS = [
-    (REPO / "src" / "repro" / "core" / "config.py", "receiver_pipeline"),
-]
-
-
-def check_config_fields_documented() -> list[str]:
-    errors = []
-    for path, field in CONFIG_FIELD_KNOBS:
-        text = path.read_text(encoding="utf-8")
-        if not re.search(rf'^\s+{field}\s*:', text, re.MULTILINE):
-            errors.append(f"{path.relative_to(REPO)}: config field "
-                          f"{field!r} not found (renamed or removed?)")
-            continue
-        for doc in (REPO / "README.md", REPO / "docs" / "ARCHITECTURE.md"):
-            # accept `receiver_pipeline` or `EunomiaConfig(receiver_pipeline=…)`
-            if not re.search(rf'`[^`\n]*{field}[^`\n]*`',
-                             doc.read_text(encoding="utf-8")):
-                errors.append(
-                    f"{doc.relative_to(REPO)}: config knob {field!r} is "
-                    f"undocumented (expected `{field}` in code format)")
-    return errors
 
 
 def check_knobs_documented() -> list[str]:
@@ -220,7 +186,7 @@ def check_knobs_documented() -> list[str]:
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
-              + check_knobs_documented() + check_config_fields_documented())
+              + check_knobs_documented())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -232,8 +198,7 @@ def main() -> int:
           f"{len(list((REPO / 'examples').glob('*.py')))} example headers ok; "
           f"{len(PROTOCOL_MODULES)} protocol modules ok; "
           f"{len(registered_protocols())} registered protocols documented; "
-          f"{n_knobs} knob values + {len(CONFIG_FIELD_KNOBS)} config field "
-          "knob(s) documented")
+          f"{n_knobs} knob values documented")
     return 0
 
 

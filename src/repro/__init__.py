@@ -10,7 +10,8 @@ A from-scratch reproduction of Gunawardhana, Bravo & Rodrigues (USENIX ATC
   consistent store (:mod:`repro.baselines`);
 * the **substrates**: a deterministic discrete-event simulator with CPU and
   WAN modelling (:mod:`repro.sim`), hybrid/vector/physical clocks
-  (:mod:`repro.clocks`), red–black and AVL trees (:mod:`repro.datastruct`),
+  (:mod:`repro.clocks`), the red–black tree and run-aware op buffer
+  (:mod:`repro.datastruct`),
   and a partitioned versioned KV store (:mod:`repro.kvstore`);
 * a **workload generator**, **metrics**, a **causal-consistency checker**,
   and a **benchmark harness** regenerating every figure of the paper
@@ -18,15 +19,15 @@ A from-scratch reproduction of Gunawardhana, Bravo & Rodrigues (USENIX ATC
 
 Quickstart::
 
-    from repro import GeoSystemSpec, WorkloadSpec, build_system
+    from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 
-    system = build_system("eunomia", GeoSystemSpec(seed=1),
-                          WorkloadSpec(read_ratio=0.9))
+    system = build_geo_system("eunomia", GeoSystemSpec(seed=1),
+                              WorkloadSpec(read_ratio=0.9))
     system.run(duration=5.0)
     print(system.total_throughput(), "ops/s")
 """
 
-from .baselines import build_system
+from . import baselines  # noqa: F401  (registers the baseline protocols)
 from .calibration import Calibration
 from .core import EunomiaConfig
 from .core.protocols import (
@@ -35,7 +36,7 @@ from .core.protocols import (
     get_protocol,
     register_protocol,
 )
-from .geo import GeoSystem, GeoSystemSpec, build_eunomia_system, build_geo_system
+from .geo import GeoSystem, GeoSystemSpec, build_geo_system
 from .workload import WorkloadSpec
 
 __version__ = "1.0.0"
@@ -50,9 +51,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "build_system",
     "build_geo_system",
-    "build_eunomia_system",
     "ProtocolSpec",
     "get_protocol",
     "register_protocol",

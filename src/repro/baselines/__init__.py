@@ -13,29 +13,14 @@ plugin, so every baseline deploys through the same
 :func:`~repro.geo.system.build_geo_system` spine as EunomiaKV — the same
 topology, NTP-disciplined clocks, ring, closed-loop clients, and failure
 injection (the paper makes the same point: GentleRain and Cure "are
-implemented using the codebase of EunomiaKV").  ``build_system``
-dispatches to any of them (plus EunomiaKV) by name.
+implemented using the codebase of EunomiaKV").
 """
 
-from typing import Optional
-
 from ..core.protocols import available_protocols
-from ..geo.system import (
-    GeoSystem,
-    GeoSystemSpec,
-    build_eunomia_system,
-    build_geo_system,
-)
-from ..metrics.collector import MetricsHub
-from ..workload.generator import WorkloadSpec
-from .cure import CurePartition, CureProtocol, build_cure_system
-from .eventual import EventualPartition, EventualProtocol, build_eventual_system
-from .gentlerain import (
-    GentleRainPartition,
-    GentleRainProtocol,
-    build_gentlerain_system,
-)
-from .gst import GstPartition, GstProtocol, GstTimings, build_gst_system
+from .cure import CurePartition, CureProtocol
+from .eventual import EventualPartition, EventualProtocol
+from .gentlerain import GentleRainPartition, GentleRainProtocol
+from .gst import GstPartition, GstProtocol, GstTimings
 from .messages import (
     ChainForward,
     GstBroadcast,
@@ -44,7 +29,7 @@ from .messages import (
     SeqReply,
     SeqRequest,
 )
-from .seqstore import SeqPartition, SequencerProtocol, build_seq_system
+from .seqstore import SeqPartition, SequencerProtocol
 from .sequencer import ChainSequencerNode, Sequencer, build_chain
 
 __all__ = [
@@ -53,21 +38,15 @@ __all__ = [
     "build_chain",
     "SeqPartition",
     "SequencerProtocol",
-    "build_seq_system",
     "GstTimings",
     "GstPartition",
     "GstProtocol",
-    "build_gst_system",
     "GentleRainPartition",
     "GentleRainProtocol",
-    "build_gentlerain_system",
     "CurePartition",
     "CureProtocol",
-    "build_cure_system",
     "EventualPartition",
     "EventualProtocol",
-    "build_eventual_system",
-    "build_system",
     "PROTOCOLS",
     "SeqRequest",
     "SeqReply",
@@ -84,15 +63,3 @@ def __getattr__(name: str):
         return available_protocols()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def build_system(protocol: str, spec: GeoSystemSpec, workload: WorkloadSpec,
-                 metrics: Optional[MetricsHub] = None, **kwargs) -> GeoSystem:
-    """Uniform entry point: build any of the paper's systems by name.
-
-    A thin alias of :func:`repro.geo.system.build_geo_system` — every
-    protocol, EunomiaKV included, goes through the one deployment spine.
-    """
-    if protocol in ("sseq", "aseq") and "synchronous" in kwargs:
-        raise TypeError("pick the protocol name, not a synchronous= flag")
-    return build_geo_system(protocol, spec, workload, metrics=metrics,
-                            **kwargs)

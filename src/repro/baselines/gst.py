@@ -32,8 +32,6 @@ pieces are the partitions themselves and the per-DC aggregator wiring.
 
 from __future__ import annotations
 
-import warnings
-
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,16 +46,14 @@ from ..core.messages import (
     RemoteData,
 )
 from ..core.protocols import ProtocolSpec, SiteContext, SitePlan
-from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from ..kvstore.storage import VersionedStore
 from ..kvstore.types import Update, Versioned
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
-from ..workload.generator import WorkloadSpec
 from .messages import GstBroadcast, GstHeartbeat, GstReport
 
-__all__ = ["GstTimings", "GstPartition", "GstProtocol", "build_gst_system",
+__all__ = ["GstTimings", "GstPartition", "GstProtocol",
            "check_pending_backend", "UNTRACKED"]
 
 #: Summary entry for an origin DC a partition does not track (partial
@@ -505,27 +501,3 @@ class GstProtocol(ProtocolSpec):
                 # this partition — the placement-aware stable cut.
                 partition.tracked = pmap.residents(partition.index)
         return SitePlan(partitions=partitions)
-
-
-def build_gst_system(spec: GeoSystemSpec, workload: WorkloadSpec,
-                     partition_cls, timings: Optional[GstTimings] = None,
-                     metrics: Optional[MetricsHub] = None,
-                     history=None, **options) -> GeoSystem:
-    """Assemble a GST-style deployment for an arbitrary flavor class.
-
-    The named flavors go through the registry (``build_geo_system(
-    "gentlerain", ...)``); this entry point exists for ad-hoc flavor
-    subclasses in tests and ablations.
-
-    .. deprecated::
-        Call ``build_geo_system(GstProtocol(cls), ...)`` directly; this
-        wrapper forwards verbatim and will be removed.
-    """
-    warnings.warn(
-        "build_gst_system is deprecated; use "
-        "build_geo_system(GstProtocol(partition_cls), ...)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return build_geo_system(GstProtocol(partition_cls), spec, workload,
-                            metrics=metrics, history=history,
-                            timings=timings, **options)

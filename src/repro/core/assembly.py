@@ -31,7 +31,7 @@ machinery applies per (partition → shard) stream).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..calibration import Calibration
 from ..durability import CheckpointStore, RecoveryManager, WriteAheadLog
@@ -155,7 +155,6 @@ class StabilizerStack:
 def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                            config: EunomiaConfig, cal: Calibration,
                            metrics: Optional[MetricsHub] = None,
-                           tree_factory: Optional[Callable] = None,
                            name_prefix: str = "",
                            stable_mark: Optional[str] = None,
                            indices: Optional[list] = None
@@ -212,8 +211,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                     batch_cost=cal.overhead("eunomia_batch"),
                     heartbeat_cost=cal.overhead("eunomia_heartbeat"),
                     ack_cost=cal.overhead("eunomia_ack"),
-                    metrics=metrics, tree_factory=tree_factory,
-                    leader_gate=leader_gate,
+                    metrics=metrics, leader_gate=leader_gate,
                 )
                 shard.set_coordinator(coordinator)
                 group_shards.append(shard)
@@ -237,8 +235,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                 insert_op_cost=cal.cost("eunomia_insert_op"),
                 batch_cost=cal.overhead("eunomia_batch"),
                 heartbeat_cost=cal.overhead("eunomia_heartbeat"),
-                metrics=metrics, tree_factory=tree_factory,
-                stable_mark=stable_mark,
+                metrics=metrics, stable_mark=stable_mark,
             ))
         for replica in stack.replicas:
             replica.set_peers(stack.replicas)
@@ -251,8 +248,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
             insert_op_cost=cal.cost("eunomia_insert_op"),
             batch_cost=cal.overhead("eunomia_batch"),
             heartbeat_cost=cal.overhead("eunomia_heartbeat"),
-            metrics=metrics, tree_factory=tree_factory,
-            stable_mark=stable_mark,
+            metrics=metrics, stable_mark=stable_mark,
         ))
         stack.replicas[0].set_tracked(indices)
 
@@ -266,8 +262,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
         stack.recovery = RecoveryManager(disk)
         for proc in (*stack.shards, *stack.replicas):
             proc.attach_durability(
-                WriteAheadLog(f"{proc.name}.wal", disk,
-                              codec=config.wal_codec),
+                WriteAheadLog(f"{proc.name}.wal", disk),
                 CheckpointStore(f"{proc.name}.ckpt"),
                 stack.recovery,
                 append_op_cost=cal.cost("wal_append_op"),

@@ -8,7 +8,7 @@ heartbeats fire when a partition has been idle for Δ = one batching interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["EunomiaConfig"]
 
@@ -108,34 +108,16 @@ class EunomiaConfig:
     #: length.
     checkpoint_interval: float = 0.25
 
-    #: WAL record codec (``durability="wal"``): ``"delta"`` frames each
-    #: record as a tag + varints (timestamp delta-encoded against the
-    #: previous record) + an 8-byte content digest, shrinking group-commit
-    #: fsync payloads to roughly a tenth of the ``"full"`` frames (op
-    #: metadata + fixed 16-byte framing).  Accounting-only: replay and
-    #: truncation are codec-agnostic.
-    wal_codec: str = "delta"
-
     #: How long a rejoining replica waits for a peer's StateTransferReply
     #: before giving up and re-entering the election on its local
     #: (checkpoint + WAL) state alone — the no-surviving-peer path.
     state_transfer_timeout: float = 0.5
 
-    #: Receiver apply-pipeline depth (Alg. 5 dataplane): ``1`` is the
-    #: stop-and-wait default — one in-flight ``ApplyRemote`` per origin,
-    #: the golden-pinned historical behaviour.  ``P > 1`` lets the receiver
-    #: release up to P consecutive dependency-satisfied head ops of one
-    #: origin bound for the *same* local partition as a single
-    #: ``ApplyRemoteRun`` frame, acknowledged with one batched
-    #: ``ApplyRemoteOkRun`` — in-order within the origin either way, so
-    #: causality (condition 1 of Alg. 5 line 12) is preserved.
-    receiver_pipeline: int = 1
-
     #: Unstable-op buffer strategy: ``"runs"`` (per-origin monotone runs,
     #: O(1) ingestion + k-way-merge FIND_STABLE — safe because Alg. 3's
     #: PartitionTime dedup guarantees per-partition monotone inserts),
-    #: ``"rbtree"`` (the paper's §6 structure), or ``"avl"`` (ablation).
-    #: All three emit bit-identical stable serializations.
+    #: or ``"rbtree"`` (the paper's §6 structure, kept as the reference).
+    #: Both emit bit-identical stable serializations.
     buffer_backend: str = "runs"
 
     def validate(self) -> None:
@@ -173,17 +155,8 @@ class EunomiaConfig:
             )
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint interval must be positive")
-        from ..durability.wal import WAL_CODECS
-
-        if self.wal_codec not in WAL_CODECS:
-            raise ValueError(
-                f"unknown WAL codec {self.wal_codec!r} "
-                f"(expected one of {', '.join(WAL_CODECS)})"
-            )
         if self.state_transfer_timeout <= 0:
             raise ValueError("state transfer timeout must be positive")
-        if self.receiver_pipeline < 1:
-            raise ValueError("receiver pipeline depth must be at least 1")
         if self.shard_policy not in ("stride", "block"):
             raise ValueError(
                 f"unknown shard policy {self.shard_policy!r} "

@@ -36,8 +36,6 @@ from .config import EunomiaConfig
 from .messages import (
     ApplyRemote,
     ApplyRemoteOk,
-    ApplyRemoteOkRun,
-    ApplyRemoteRun,
     BatchAck,
     ClientRead,
     ClientReadReply,
@@ -64,9 +62,6 @@ class EunomiaPartition(Process):
                 "ClientUpdate": (cal.cost("partition_update")
                                  + cal.cost("eunomia_update_extra")),
                 "ApplyRemote": cal.cost("partition_apply_remote"),
-                "ApplyRemoteRun":
-                    lambda msg: (cal.cost("partition_apply_remote")
-                                 * len(msg.updates)),
                 "RemoteData": cal.cost("partition_remote_data"),
             })
         super().__init__(env, name, site=dc_id, cost_model=cost_model)
@@ -87,9 +82,6 @@ class EunomiaPartition(Process):
         self._seq = 0
         self._pending_data: dict[tuple, tuple[Update, float]] = {}
         self._pending_apply: dict[tuple, tuple[Update, Process]] = {}
-        #: run suffix chained behind a data-pending member (pipelined
-        #: ApplyRemoteRun): resumes, in order, when that member's data lands
-        self._pending_run: dict[tuple, tuple[Update, ...]] = {}
         self.local_updates = 0
         self.remote_applies = 0
 
@@ -128,8 +120,7 @@ class EunomiaPartition(Process):
         queueing them behind foreground client operations would inflate
         visibility latency far beyond anything the paper measures.
         """
-        if type(msg).__name__ in ("ApplyRemote", "ApplyRemoteRun",
-                                  "RemoteData"):
+        if type(msg).__name__ in ("ApplyRemote", "RemoteData"):
             return "replication"
         return "cpu"
 
@@ -189,11 +180,6 @@ class EunomiaPartition(Process):
             meta, receiver = waiting
             self._execute_remote(meta.with_value(update.value),
                                  data_arrival=self.now, receiver=receiver)
-            # A pipelined run parked behind this member resumes now — in
-            # order, so condition (1) of Alg. 5 line 12 stays intact.
-            rest = self._pending_run.pop(meta.uid, None)
-            if rest is not None:
-                self._apply_run(rest, receiver)
         else:
             self._pending_data[update.uid] = (update, self.now)
 
@@ -214,44 +200,8 @@ class EunomiaPartition(Process):
         else:
             self._execute_remote(update, data_arrival=self.now, receiver=src)
 
-    def on_apply_remote_run(self, msg: ApplyRemoteRun, src: Process) -> None:
-        """Pipelined release (``receiver_pipeline > 1``): apply a run.
-
-        Members execute strictly in run order.  Hitting a member whose §5
-        payload has not arrived stops the run: that member parks in
-        ``_pending_apply`` as usual and the *remaining* suffix is chained
-        behind it in ``_pending_run`` — executing later members first would
-        make an effect visible without its same-origin causal prefix.  The
-        executed prefix acknowledges as one :class:`ApplyRemoteOkRun`;
-        parked members ack individually when their data lands.
-        """
-        self._apply_run(msg.updates, src)
-
-    def _apply_run(self, updates: tuple, src: Process) -> None:
-        done = []
-        now = self.now
-        for i, update in enumerate(updates):
-            if update.value is None:
-                held = self._pending_data.pop(update.uid, None)
-                if held is None:
-                    self._pending_apply[update.uid] = (update, src)
-                    rest = updates[i + 1:]
-                    if rest:
-                        self._pending_run[update.uid] = rest
-                    break
-                data, arrival = held
-                self._execute_remote(update.with_value(data.value),
-                                     data_arrival=arrival, receiver=src,
-                                     ack=False)
-            else:
-                self._execute_remote(update, data_arrival=now, receiver=src,
-                                     ack=False)
-            done.append(update.uid)
-        if done:
-            self.send(src, ApplyRemoteOkRun(tuple(done)))
-
     def _execute_remote(self, update: Update, data_arrival: float,
-                        receiver: Process, ack: bool = True) -> None:
+                        receiver: Process) -> None:
         self.store.put(update.key, Versioned(update.value, update.ts,
                                              update.origin_dc, update.vts))
         self.remote_applies += 1
@@ -272,8 +222,7 @@ class EunomiaPartition(Process):
         slo = self.metrics.slo
         if slo is not None:
             slo.visibility(k, m, total_ms, extra_ms)
-        if ack:
-            self.send(receiver, ApplyRemoteOk(update.uid))
+        self.send(receiver, ApplyRemoteOk(update.uid))
 
     # ------------------------------------------------------------------
     # Uplink plumbing

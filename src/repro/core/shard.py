@@ -172,15 +172,13 @@ class EunomiaShard(StabilizerBase):
                  ack_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None,
                  cost_model: Optional[CostModel] = None,
-                 tree_factory: Optional[Callable] = None,
                  leader_gate: Optional[Callable[[], bool]] = None):
         super().__init__(env, name, site, n_partitions, config,
                          insert_op_cost=insert_op_cost,
                          batch_cost=batch_cost,
                          heartbeat_cost=heartbeat_cost,
                          ack_cost=ack_cost,
-                         metrics=metrics, cost_model=cost_model,
-                         tree_factory=tree_factory)
+                         metrics=metrics, cost_model=cost_model)
         if not owned:
             raise ValueError(f"shard {shard_id} owns no partitions")
         self.shard_id = shard_id

@@ -5,8 +5,8 @@ holding the set of unstable operations: it must support cheap inserts (every
 local update lands here) and cheap in-order traversal of a prefix (every
 stabilization round pops all operations with timestamp ≤ StableTime).  The
 authors used a red–black tree and found it faster than AVL for their
-insert-heavy mix; we implement both (see :mod:`repro.datastruct.avl`) and
-benchmark the choice in ``benchmarks/bench_trees.py``.
+insert-heavy mix; ``benchmarks/bench_trees.py`` measures it against the
+run-aware :class:`repro.datastruct.runbuffer.RunBuffer` default.
 
 This is a textbook CLRS implementation with a per-tree NIL sentinel, mapping
 totally-ordered keys to values.  ``validate()`` checks the red–black

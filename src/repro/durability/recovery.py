@@ -83,8 +83,7 @@ class RecoveryManager:
             floor = extra_floor
             partition_time = [0] * proc.n_partitions
         entries = wal.replay(partition_time, floor)
-        buffer = OpBuffer(proc._tree_factory,
-                          backend=proc.config.buffer_backend)
+        buffer = OpBuffer(proc.config.buffer_backend)
         for ts, origin, seq, op in entries:
             buffer.add(ts, origin, seq, op)
         proc._adopt_recovery_state(partition_time, buffer, floor)

@@ -3,12 +3,7 @@ the EunomiaKV system facade used by examples and the benchmark harness."""
 
 from .datacenter import Datacenter, EunomiaProtocol
 from .receiver import Receiver
-from .system import (
-    GeoSystem,
-    GeoSystemSpec,
-    build_eunomia_system,
-    build_geo_system,
-)
+from .system import GeoSystem, GeoSystemSpec, build_geo_system
 
 __all__ = [
     "Receiver",
@@ -16,6 +11,5 @@ __all__ = [
     "EunomiaProtocol",
     "GeoSystem",
     "GeoSystemSpec",
-    "build_eunomia_system",
     "build_geo_system",
 ]

@@ -22,7 +22,7 @@ protocol, not plumbing.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..calibration import Calibration
 from ..clocks.ntp import NtpSynchronizer
@@ -44,9 +44,8 @@ __all__ = ["Datacenter", "EunomiaProtocol"]
 
 class EunomiaProtocol(ProtocolSpec):
     """EunomiaKV as a plugin: Alg. 2 partitions + stabilizer stack + Alg. 5
-    receiver.  Options: ``config`` (:class:`EunomiaConfig`, all four
-    stabilizer shapes, durability, buffer backends), ``tree_factory``
-    (pins every stabilizer's buffer structure — the §6 ablation hook)."""
+    receiver.  Option: ``config`` (:class:`EunomiaConfig`, all four
+    stabilizer shapes, durability, buffer backends)."""
 
     name = "eunomia"
 
@@ -54,13 +53,12 @@ class EunomiaProtocol(ProtocolSpec):
         return n_dcs
 
     def option_names(self) -> tuple:
-        return ("config", "tree_factory")
+        return ("config",)
 
     def prepare(self, spec, options: dict) -> dict:
         config = options.get("config") or EunomiaConfig()
         config.validate()
         options["config"] = config
-        options.setdefault("tree_factory", None)
         return options
 
     def build_site(self, site: SiteContext) -> SitePlan:
@@ -84,8 +82,7 @@ class EunomiaProtocol(ProtocolSpec):
                      for i in pmap.resident_partitions(site.dc_id)])
         stack = build_stabilizer_stack(
             site.env, site.dc_id, site.n_partitions, config, cal,
-            metrics=site.metrics, tree_factory=site.options["tree_factory"],
-            name_prefix=f"dc{site.dc_id}/",
+            metrics=site.metrics, name_prefix=f"dc{site.dc_id}/",
             indices=None if pmap is None else
             pmap.resident_partitions(site.dc_id),
         )
@@ -93,7 +90,6 @@ class EunomiaProtocol(ProtocolSpec):
             site.env, f"dc{site.dc_id}/receiver", site.dc_id, site.n_dcs,
             check_interval=config.receiver_check_interval,
             calibration=cal, metrics=site.metrics, placement=pmap,
-            pipeline=config.receiver_pipeline,
         )
         receiver.set_partitions(site.ring, partitions)
         relays = stack.wire_uplinks(resident)
@@ -104,27 +100,23 @@ class EunomiaProtocol(ProtocolSpec):
         )
 
 
-_EUNOMIA = register_protocol(EunomiaProtocol())
+register_protocol(EunomiaProtocol())
 
 
 class Datacenter:
     """One site of a geo-replicated deployment, any registered protocol.
 
-    The legacy signature — ``Datacenter(env, dc_id, n_dcs, n_partitions,
-    ring, config)`` — still builds an EunomiaKV site; passing
-    ``protocol=`` (a :class:`ProtocolSpec`) with a prepared ``options``
-    dict builds any other plugin over the identical frame.
+    ``protocol`` is the :class:`ProtocolSpec` plugin and ``options`` the
+    dict its :meth:`~repro.core.protocols.ProtocolSpec.prepare` returned;
+    :func:`repro.geo.system.build_geo_system` is the one caller.
     """
 
     def __init__(self, env: Environment, dc_id: int, n_dcs: int,
                  n_partitions: int, ring: ConsistentHashRing,
-                 config: Optional[EunomiaConfig] = None,
+                 protocol: ProtocolSpec, options: dict,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
                  ntp: Optional[NtpSynchronizer] = None,
-                 tree_factory: Optional[Callable] = None,
-                 protocol: Optional[ProtocolSpec] = None,
-                 options: Optional[dict] = None,
                  placement=None):
         self.env = env
         self.dc_id = dc_id
@@ -133,20 +125,11 @@ class Datacenter:
         cal = calibration or Calibration()
         self.calibration = cal
         self.metrics = metrics or NullMetrics()
-        if protocol is None:
-            if options is not None:
-                raise TypeError(
-                    "options= requires protocol=; the legacy EunomiaKV "
-                    "signature takes config=/tree_factory= directly")
-            protocol = _EUNOMIA
-            options = {"config": config or EunomiaConfig(),
-                       "tree_factory": tree_factory}
         self.protocol = protocol
         self.site = SiteContext(
             env=env, dc_id=dc_id, n_dcs=n_dcs, n_partitions=n_partitions,
             ring=ring, calibration=cal, metrics=self.metrics, ntp=ntp,
-            options=options if options is not None else {},
-            placement=placement,
+            options=options, placement=placement,
         )
         #: the placement map when genuinely partial, else None — the full
         #: path through connect/start/introspection must stay identical
@@ -160,7 +143,7 @@ class Datacenter:
         # -- Eunomia introspection sugar (empty for other protocols) -------
         stack = self.plan.stack
         self.stack = stack
-        self.config = options.get("config") if options else None
+        self.config = options.get("config")
         self.eunomia_replicas = stack.replicas if stack else []
         self.shards = stack.shards if stack else []
         self.coordinators = stack.coordinators if stack else []

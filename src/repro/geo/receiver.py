@@ -25,26 +25,17 @@ StableAnnounce and the crash — are filtered as a columnar prefix (one
 bisection over the frame's ``ts`` column) against the last enqueued
 position per origin.
 
-Two batching layers ride on top of the algorithm (the batched dataplane,
-see docs/ARCHITECTURE.md):
-
-* **grouped shipping** — a flush pass collects its release decisions and
-  ships consecutive same-partition ones through ``send_many``, which is
-  RNG- and FIFO-identical to per-op ``send`` (bit-for-bit, golden-pinned);
-* an **apply pipeline** (``EunomiaConfig.receiver_pipeline``): depth 1
-  (default) is the historical stop-and-wait, depth P releases up to P
-  consecutive dependency-satisfied same-partition head ops of one origin
-  as a single :class:`ApplyRemoteRun`, acknowledged by applied *prefix*.
-  Pipelining changes timing but not order — per-origin apply sequences
-  are op-for-op those of stop-and-wait
-  (``tests/test_batched_dataplane.py``).
+**Grouped shipping** rides on top of the algorithm (the batched
+dataplane, see docs/ARCHITECTURE.md): a flush pass collects its release
+decisions and ships consecutive same-partition ones through
+``send_many``, which is RNG- and FIFO-identical to per-op ``send``
+(bit-for-bit, golden-pinned).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import islice
 from typing import Optional
 
 from ..calibration import Calibration
@@ -53,13 +44,7 @@ from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
-from ..core.messages import (
-    ApplyRemote,
-    ApplyRemoteOk,
-    ApplyRemoteOkRun,
-    ApplyRemoteRun,
-    RemoteStableBatch,
-)
+from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 
 __all__ = ["Receiver"]
 
@@ -71,21 +56,17 @@ class Receiver(Process):
                  check_interval: float,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
-                 placement=None, pipeline: int = 1):
+                 placement=None):
         cal = calibration or Calibration()
         cost_model = CostModel(costs={
             "RemoteStableBatch":
                 lambda msg: cal.cost("receiver_enqueue_op") * len(msg.ops),
             "ApplyRemoteOk": cal.overhead("receiver_flush"),
-            "ApplyRemoteOkRun": cal.overhead("receiver_flush"),
         })
         super().__init__(env, name, site=dc_id, cost_model=cost_model)
         self.dc_id = dc_id
         self.n_dcs = n_dcs
         self.check_interval = check_interval
-        #: apply-pipeline depth (EunomiaConfig.receiver_pipeline): 1 is the
-        #: historical stop-and-wait; P > 1 releases same-partition runs.
-        self.pipeline = pipeline
         self.metrics = metrics or NullMetrics()
         #: partial geo-replication (None = full): origins whose resident
         #: set is disjoint from ours get no queue at all — the
@@ -102,9 +83,8 @@ class Receiver(Process):
         # Dedup uses the full (ts, partition, seq) order key: concurrent
         # updates from different partitions may legally share a timestamp.
         self._last_enqueued: list[tuple] = [(0, -1, -1)] * n_dcs
-        #: origin -> ordered run of in-flight updates (length 1 when
-        #: pipeline == 1); acknowledgements pop the run's prefix.
-        self._inflight: dict[int, deque[Update]] = {}
+        #: origin -> its one in-flight update (stop-and-wait release)
+        self._inflight: dict[int, Update] = {}
         self.ring: Optional[ConsistentHashRing] = None
         self.partitions: list[Process] = []
         self.applied = 0
@@ -166,7 +146,7 @@ class Receiver(Process):
         self._ship(sends)
 
     # ------------------------------------------------------------------
-    # FLUSH (Alg. 5 lines 5–20, per-origin pipelined)
+    # FLUSH (Alg. 5 lines 5–20, origins progress concurrently)
     # ------------------------------------------------------------------
     def _flush_all(self) -> None:
         # Skipping a non-resident head advances SiteTime, which can
@@ -231,29 +211,11 @@ class Receiver(Process):
         if not self._deps_satisfied(update, k):
             return skipped
         target = self.partitions[self.ring.partition_for(update.key)]
-        run = [update]
-        if self.pipeline > 1:
-            # Pipelined release: later members' condition (1) holds because
-            # their whole origin prefix rides ahead of them in the same
-            # frame (the partition applies it in order before them);
-            # condition (2) is checked per member against current SiteTime.
-            for u in islice(queue, 1, self.pipeline):
-                if (not self._resident(u)
-                        or not self._deps_satisfied(u, k)
-                        or self.partitions[self.ring.partition_for(u.key)]
-                        is not target):
-                    break
-                run.append(u)
         tracer = self.metrics.tracer
         if tracer is not None:
-            now = self.now
-            for u in run:
-                tracer.stage_once(u, "recv_apply", now, self.dc_id)
-        self._inflight[k] = deque(run)
-        if len(run) == 1:
-            sends.append((target, ApplyRemote(update)))
-        else:
-            sends.append((target, ApplyRemoteRun(tuple(run))))
+            tracer.stage_once(update, "recv_apply", self.now, self.dc_id)
+        self._inflight[k] = update
+        sends.append((target, ApplyRemote(update)))
         return skipped
 
     def _resident(self, update: Update) -> bool:
@@ -290,49 +252,18 @@ class Receiver(Process):
                 return False
         return True
 
-    def _ack_one(self, k: int, uid: tuple, run: deque) -> None:
-        update = run.popleft() if run else None
-        if update is None or update.uid != uid:
+    def on_apply_remote_ok(self, msg: ApplyRemoteOk, src: Process) -> None:
+        k = msg.uid[0]
+        update = self._inflight.pop(k, None)
+        if update is None or update.uid != msg.uid:
             raise RuntimeError(
-                f"receiver {self.name}: unexpected apply ack {uid}"
+                f"receiver {self.name}: unexpected apply ack {msg.uid}"
             )
         self.queues[k].popleft()
         self._advance_site_time(k, update)
         self.applied += 1
-
-    def on_apply_remote_ok(self, msg: ApplyRemoteOk, src: Process) -> None:
-        k = msg.uid[0]
-        run = self._inflight.get(k)
-        if run is None:
-            raise RuntimeError(
-                f"receiver {self.name}: unexpected apply ack {msg.uid}"
-            )
-        self._ack_one(k, msg.uid, run)
-        if not run:
-            del self._inflight[k]
         # An apply may unblock heads of *other* origins (their vts[k] was
         # the missing dependency), so rescan everything.
-        self._flush_all()
-
-    def on_apply_remote_ok_run(self, msg: ApplyRemoteOkRun, src: Process) -> None:
-        """Batched acknowledgement of an :class:`ApplyRemoteRun` prefix.
-
-        Members whose §5 payload was still in flight are absent — they ack
-        individually later — so only the run's acknowledged *prefix* pops
-        here; in-order popping keeps the tie-aware SiteTime advance exact.
-        """
-        if not msg.uids:
-            return
-        k = msg.uids[0][0]
-        run = self._inflight.get(k)
-        if run is None:
-            raise RuntimeError(
-                f"receiver {self.name}: unexpected run ack {msg.uids[0]}"
-            )
-        for uid in msg.uids:
-            self._ack_one(k, uid, run)
-        if not run:
-            del self._inflight[k]
         self._flush_all()
 
     # ------------------------------------------------------------------

@@ -405,8 +405,7 @@ def _mttr_samples(system, schedule: ChaosSchedule) -> list:
     return samples
 
 
-def run_case(schedule: ChaosSchedule, scheduler: str = "heap",
-             observe: bool = True) -> CaseResult:
+def run_case(schedule: ChaosSchedule, observe: bool = True) -> CaseResult:
     """Run one chaos case and evaluate every oracle.
 
     Never raises on an oracle failure — the verdict (and the evidence)
@@ -425,8 +424,7 @@ def run_case(schedule: ChaosSchedule, scheduler: str = "heap",
         spec_kwargs["client_retry"] = _CLIENT_RETRY
     if schedule.clock_mode == "physical":
         spec_kwargs["ntp_residual_us"] = _PHYSICAL_RESIDUAL_US
-    spec = GeoSystemSpec(seed=schedule.seed, scheduler=scheduler,
-                         **spec_kwargs)
+    spec = GeoSystemSpec(seed=schedule.seed, **spec_kwargs)
     system = build_geo_system(schedule.protocol, spec,
                               WorkloadSpec(**_WORKLOAD), history=history,
                               **_options_for(schedule.protocol,

@@ -1,8 +1,8 @@
 """Periodic stage-lag gauges: sampled depths and lags as point series.
 
-:class:`GaugeScraper` rides the event loop's ``schedule_periodic`` (heap
-or time-wheel backend alike) and, every ``interval`` sim-seconds, reads —
-never mutates — the live pipeline state of every datacenter:
+:class:`GaugeScraper` rides the event loop's ``schedule_periodic`` and,
+every ``interval`` sim-seconds, reads — never mutates — the live pipeline
+state of every datacenter:
 
 * stabilization lag: ``now − StableTime`` per DC (how far the deferred
   stabilization pipeline trails real time — the paper's core deferral);

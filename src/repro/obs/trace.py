@@ -20,7 +20,7 @@ Three properties make tracing safe to leave attached to golden runs:
 
 The ``STAGES`` registry below is the single source of truth for stage
 names; ``scripts/check_docs.py`` lints it against the documentation the
-same way it lints the scheduler/WAL/fault knob tuples.
+same way it lints the fault and placement knob tuples.
 """
 
 from __future__ import annotations

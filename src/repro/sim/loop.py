@@ -20,8 +20,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Optional, Union
 
-__all__ = ["Event", "EventLoop", "PeriodicHandle", "SimulationError",
-           "TimeWheelLoop"]
+__all__ = ["Event", "EventLoop", "PeriodicHandle", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -274,176 +273,3 @@ class EventLoop:
         if until is not None and self._now < until:
             self._now = until
 
-
-class TimeWheelLoop(EventLoop):
-    """Slotted time-wheel scheduler: same semantics, batch-friendly layout.
-
-    Experiment schedules are dominated by short-horizon events (periodic
-    stabilizer/GST/gossip ticks, service-queue completions, intra-DC
-    deliveries), so instead of one global heap this backend hashes events
-    into fixed-width time slots: ``slot = floor(time / resolution)``, a ring
-    of ``wheel_slots`` buckets covering ``resolution * wheel_slots`` seconds
-    of horizon.  Each bucket is a *small* heap (a few events), so pushes and
-    pops touch O(log bucket) elements instead of O(log total).  Events
-    beyond the horizon overflow into an auxiliary heap and migrate into the
-    ring as the cursor sweeps forward.
-
-    Firing order is exactly the base loop's ``(time, seq)`` total order:
-    buckets partition the time axis, and within a bucket the heap compares
-    the same ``(time, seq, event)`` entries as the base loop — the property test in
-    ``tests/test_sim_batching.py`` drives arbitrary one-shot/periodic/
-    cancelled mixes through both backends and asserts identical histories.
-    The heap backend stays the reference implementation and the default
-    (``Environment(scheduler="heap")``).
-    """
-
-    def __init__(self, resolution: float = 1e-3,
-                 wheel_slots: int = 4096) -> None:
-        super().__init__()
-        if resolution <= 0.0:
-            raise SimulationError("wheel resolution must be positive")
-        if wheel_slots < 2:
-            raise SimulationError("wheel needs at least two slots")
-        self._res = resolution
-        self._n = wheel_slots
-        #: buckets and overflow hold the same ``(time, seq, event)``
-        #: entries as the base loop's heap (C-level tuple comparisons).
-        self._buckets: list[list[tuple]] = [[] for _ in range(wheel_slots)]
-        self._overflow: list[tuple] = []     # events beyond the horizon
-        self._cursor = 0                     # absolute slot index being drained
-        self._wheel_count = 0                # events (incl. cancelled) in ring
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time!r}, already at t={self._now!r}"
-            )
-        event = Event(time, next(self._seq), fn, args, self)
-        self._insert(event)
-        self._pending += 1
-        return event
-
-    def _insert(self, event: Event) -> None:
-        idx = int(event.time / self._res)
-        entry = (event.time, event.seq, event)
-        if idx - self._cursor < self._n:
-            heapq.heappush(self._buckets[idx % self._n], entry)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, entry)
-
-    def _migrate(self) -> None:
-        """Pull overflow events that now fall inside the ring's horizon."""
-        overflow = self._overflow
-        if not overflow:
-            return
-        res, n = self._res, self._n
-        horizon = self._cursor + n
-        while overflow and int(overflow[0][0] / res) < horizon:
-            entry = heapq.heappop(overflow)
-            heapq.heappush(self._buckets[int(entry[0] / res) % n], entry)
-            self._wheel_count += 1
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[Event]:
-        """Next live event in ``(time, seq)`` order, or None when drained.
-
-        Within a drain the cursor only moves forward, so the empty-slot
-        scan is amortized over simulated time; when the ring is empty it
-        jumps straight to the overflow head's slot instead of sweeping.
-
-        Invariant on return: whenever control goes back to user code the
-        cursor sits at or before ``now``'s slot, because anything scheduled
-        next only promises ``time >= now`` — a cursor left ahead (by the
-        overflow jump or by sweeping past cancelled events) would strand
-        such events in already-swept buckets, firing them a whole lap late.
-        Returning an event restores it naturally (``now`` becomes the
-        event's time, whose slot is exactly the cursor); the drained path
-        rewinds explicitly (the ring and overflow are both empty, so there
-        is nothing to re-bucket); :meth:`_push_back` handles the third exit.
-        """
-        buckets, n = self._buckets, self._n
-        while self._wheel_count or self._overflow:
-            if not self._wheel_count:
-                self._cursor = int(self._overflow[0][0] / self._res)
-                self._migrate()
-                continue
-            bucket = buckets[self._cursor % n]
-            while bucket:
-                event = heapq.heappop(bucket)[2]
-                self._wheel_count -= 1
-                if event.cancelled:
-                    continue
-                self._pending -= 1
-                event._loop = None  # fired: late cancel() must not decrement
-                return event
-            self._cursor += 1
-            self._migrate()
-        self._cursor = int(self._now / self._res)
-        return None
-
-    def _push_back(self, event: Event) -> None:
-        """Undo a pop (the event was past an ``until`` boundary).
-
-        :meth:`_pop_next` may have left the cursor beyond ``now``'s slot —
-        via the empty-ring overflow jump, or by sweeping empty/cancelled
-        buckets on its way to this event.  Rewind it (see the invariant on
-        :meth:`_pop_next`), spilling any ring events back to overflow
-        since their buckets were hashed relative to the overshot cursor.
-        """
-        cursor_floor = int(self._now / self._res)
-        if self._cursor > cursor_floor:
-            if self._wheel_count:
-                overflow = self._overflow
-                for bucket in self._buckets:
-                    if bucket:
-                        overflow.extend(bucket)
-                        bucket.clear()
-                heapq.heapify(overflow)
-                self._wheel_count = 0
-            self._cursor = cursor_floor
-        event._loop = self
-        self._pending += 1
-        self._insert(event)
-
-    def step(self) -> bool:
-        event = self._pop_next()
-        if event is None:
-            return False
-        self._now = event.time
-        self._processed += 1
-        event.fn(*event.args)
-        return True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        if self._running:
-            raise SimulationError("event loop is not reentrant")
-        self._running = True
-        fired = 0
-        try:
-            while max_events is None or fired < max_events:
-                event = self._pop_next()
-                if event is None:
-                    break
-                if until is not None and event.time > until:
-                    self._push_back(event)
-                    break
-                fired += 1
-                self._now = event.time
-                self._processed += 1
-                event.fn(*event.args)
-        finally:
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-            # Skip the empty-slot sweep up to ``until`` only when nothing is
-            # pending: with live events still queued (push-back, max_events)
-            # the cursor must stay behind their slots, and with an empty
-            # ring the overflow jump makes the sweep free anyway.
-            if not self._wheel_count and not self._overflow:
-                self._cursor = int(self._now / self._res)

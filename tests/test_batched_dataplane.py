@@ -1,11 +1,10 @@
 """Equivalence of the batched dataplane against its per-op semantics.
 
-PR 10 batches three hot lanes — the partition→Eunomia uplink (suffix-reuse
-frame cache), the receiver's grouped FLUSH shipping (``send_many`` over
-consecutive same-partition releases), and the pipelined apply window
-(``EunomiaConfig.receiver_pipeline``).  Each batching layer claims a
-precise equivalence with the per-op code it replaced, and each claim gets
-the strongest test it supports:
+The dataplane batches two hot lanes — the partition→Eunomia uplink
+(suffix-reuse frame cache) and the receiver's grouped FLUSH shipping
+(``send_many`` over consecutive same-partition releases).  Each batching
+layer claims a precise equivalence with the per-op code it replaced, and
+each claim gets the strongest test it supports:
 
 * the **frame cache** is a pure memoization — disabling it (rebuilding
   every retransmission suffix from the pending columns) must leave the
@@ -13,14 +12,11 @@ the strongest test it supports:
   that make the cache fire in the first place;
 * **grouped shipping** rides the ``send_many`` contract (one RNG draw per
   message, issue order, FIFO) — reverting the receiver to per-op ``send``
-  must also be bit-identical;
-* the **apply pipeline** intentionally changes timing (runs release
-  together), so whole-system twins legitimately diverge in commit
-  timestamps; its claim is *op-for-op* at the receiver — same updates, to
-  the same partitions, in the same per-origin order as stop-and-wait —
-  proven on a scripted receiver harness with at-least-once re-shipped
-  streams, plus a system-level causal-checker invariant under real
-  loss/partition interleavings.
+  must also be bit-identical.
+
+A scripted receiver harness additionally drives at-least-once re-shipped
+stable streams through the stop-and-wait FLUSH and checks exactly-once,
+per-origin in-order application.
 
 Observability-attached variants guard the instruments' no-perturbation
 promise on every batched path.
@@ -35,12 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EunomiaConfig
-from repro.core.messages import (
-    ApplyRemoteOk,
-    ApplyRemoteOkRun,
-    RemoteStableBatch,
-)
-from repro.checker import CausalChecker, SessionHistory
+from repro.core.messages import ApplyRemoteOk, RemoteStableBatch
 from repro.datastruct.opblock import OpBlock
 from repro.geo.receiver import Receiver
 from repro.geo.system import GeoSystemSpec, build_geo_system
@@ -57,11 +48,10 @@ RUN_S = 1.2
 DRAIN_S = 2.0
 
 
-def _system(seed: int, config: EunomiaConfig | None = None, history=None):
+def _system(seed: int, config: EunomiaConfig):
     spec = GeoSystemSpec(seed=seed, **SPEC)
-    kwargs = {"config": config} if config is not None else {}
     return build_geo_system("eunomia", spec, WorkloadSpec(**WL),
-                            history=history, **kwargs)
+                            config=config)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +152,7 @@ def _arm_uplink_faults(system, plan) -> None:
 
 
 # ----------------------------------------------------------------------
-# Pipelined apply window: op-for-op equivalence on a scripted receiver
+# Stop-and-wait FLUSH on a scripted receiver
 # ----------------------------------------------------------------------
 class _StubPartition(Process):
     """Applies releases in arrival order and acks like the real partition."""
@@ -175,12 +165,6 @@ class _StubPartition(Process):
     def on_apply_remote(self, msg, src):
         self.log.append((self.index, msg.update.uid))
         self.send(src, ApplyRemoteOk(msg.update.uid))
-
-    def on_apply_remote_run(self, msg, src):
-        uids = tuple(u.uid for u in msg.updates)
-        for uid in uids:
-            self.log.append((self.index, uid))
-        self.send(src, ApplyRemoteOkRun(uids))
 
 
 @st.composite
@@ -236,15 +220,14 @@ def _stream_plans(draw):
     return streams, schedule
 
 
-def _run_receiver(streams, schedule, pipeline: int):
+def _run_receiver(streams, schedule):
     """Drive a real Receiver off scripted streams; return its outcome."""
     env = Environment(seed=5)
     net = Network(env, JitteredLatency(base_s=0.001, jitter_s=0.0004))
     log: list[tuple[int, tuple]] = []
     partitions = [_StubPartition(env, f"p{i}", i, log) for i in range(2)]
     origins = {k: Process(env, f"origin{k}") for k in schedule}
-    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3, check_interval=0.005,
-                        pipeline=pipeline)
+    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3, check_interval=0.005)
     receiver.set_partitions(ConsistentHashRing(2), partitions)
     receiver.start()
     for k, frames in schedule.items():
@@ -268,63 +251,23 @@ def _run_receiver(streams, schedule, pipeline: int):
 
 
 @settings(max_examples=30, deadline=None)
-@given(plan=_stream_plans(), pipeline=st.integers(min_value=2, max_value=6))
-def test_receiver_pipeline_is_op_for_op_equivalent(plan, pipeline):
-    """Pipelined FLUSH releases the same updates, to the same partitions,
-    in the same per-origin order as stop-and-wait — and fully drains
-    re-shipped at-least-once streams with identical dedup counts."""
+@given(plan=_stream_plans())
+def test_receiver_drains_reshipped_streams_in_stream_order(plan):
+    """Stop-and-wait FLUSH over at-least-once re-shipped streams: every
+    update applies exactly once, in its origin's stream order, re-shipped
+    prefixes are dropped as duplicates, and the receiver fully drains with
+    SiteTime at each stream's last timestamp."""
     streams, schedule = plan
-    base = _run_receiver(streams, schedule, pipeline=1)
-    piped = _run_receiver(streams, schedule, pipeline=pipeline)
-    assert piped["per_origin"] == base["per_origin"]
-    assert piped["applied"] == base["applied"]
-    assert piped["site_time"] == base["site_time"]
-    assert piped["duplicates"] == base["duplicates"]
-    assert base["backlog"] == 0 and piped["backlog"] == 0
-    # and the per-origin order is exactly the stream (queue) order
+    out = _run_receiver(streams, schedule)
+    assert out["backlog"] == 0
+    assert out["applied"] == sum(len(s) for s in streams.values())
+    shipped = sum(hi - lo for frames in schedule.values()
+                  for _, lo, hi in frames)
+    assert out["duplicates"] == shipped - out["applied"]
     for k, stream in streams.items():
-        assert [uid for _, uid in base["per_origin"].get(k, [])] \
+        assert [uid for _, uid in out["per_origin"].get(k, [])] \
             == [u.uid for u in stream]
-
-
-@settings(max_examples=8, deadline=None)
-@given(plan=_PLANS,
-       pipeline=st.integers(min_value=2, max_value=6),
-       seed=st.integers(min_value=0, max_value=2**10))
-def test_pipelined_system_keeps_causal_guarantees(plan, pipeline, seed):
-    """Whole-system oracle for the pipeline under *real* loss/cut/gray
-    interleavings: every client session stays causal, every read returns
-    a causally-consistent value, and the DCs converge after heal."""
-    history = SessionHistory()
-    # Fault-tolerant service: BatchAck (and with it the uplink's
-    # retransmission) is Alg. 4 machinery, and the loss/cut windows land
-    # on exactly that lane — the plain Alg. 3 service would lose them.
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           receiver_pipeline=pipeline)
-    system = _system(seed, config, history=history)
-    _arm_interdc_faults(system, plan)
-    system.run(RUN_S)
-    system.quiesce(DRAIN_S)
-    checker = CausalChecker(history)
-    assert checker.check() == []
-    assert checker.check_write_read_pairs() == []
-    assert system.converged()
-
-
-def test_pipelined_system_causal_with_observability():
-    """The causal oracle holds with the full obs surface attached."""
-    history = SessionHistory()
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           receiver_pipeline=4)
-    system = _system(5, config, history=history)
-    _arm_interdc_faults(system, [(0.3, 0.3, "cut", 0, 1),
-                                 (0.5, 0.25, "loss", 2, 2)])
-    system.observe(sample_every=16)
-    system.run(RUN_S)
-    system.quiesce(DRAIN_S)
-    checker = CausalChecker(history)
-    assert checker.check() == []
-    assert system.converged()
+        assert out["site_time"][k] == (stream[-1].ts if stream else 0)
 
 
 # ----------------------------------------------------------------------
@@ -412,10 +355,8 @@ def _per_op_ship(self, sends):
         self.send(target, msg)
 
 
-def _run_grouped(seed: int, plan, grouped: bool, pipeline: int = 1,
-                 observe: bool = False):
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           receiver_pipeline=pipeline)
+def _run_grouped(seed: int, plan, grouped: bool, observe: bool = False):
+    config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
     system = _system(seed, config)
     if not grouped:
         for dc in system.datacenters:
@@ -429,19 +370,17 @@ def _run_grouped(seed: int, plan, grouped: bool, pipeline: int = 1,
 
 
 @settings(max_examples=6, deadline=None)
-@given(plan=_PLANS,
-       pipeline=st.sampled_from([1, 3]),
-       seed=st.integers(min_value=0, max_value=2**10))
-def test_grouped_flush_shipping_bit_identical(plan, pipeline, seed):
+@given(plan=_PLANS, seed=st.integers(min_value=0, max_value=2**10))
+def test_grouped_flush_shipping_bit_identical(plan, seed):
     """``send_many`` grouping of consecutive same-partition releases is
     RNG- and FIFO-identical to the per-op ``send`` loop it replaced —
     the whole-run fingerprint (stores + ordered visibility series) must
     not move a bit, faults included."""
-    assert (_run_grouped(seed, plan, grouped=True, pipeline=pipeline)
-            == _run_grouped(seed, plan, grouped=False, pipeline=pipeline))
+    assert (_run_grouped(seed, plan, grouped=True)
+            == _run_grouped(seed, plan, grouped=False))
 
 
 def test_grouped_flush_shipping_bit_identical_with_observability():
     plan = [(0.3, 0.25, "gray", 0, 2)]
-    assert (_run_grouped(3, plan, grouped=True, pipeline=3, observe=True)
-            == _run_grouped(3, plan, grouped=False, pipeline=3, observe=True))
+    assert (_run_grouped(3, plan, grouped=True, observe=True)
+            == _run_grouped(3, plan, grouped=False, observe=True))

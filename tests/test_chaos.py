@@ -15,9 +15,8 @@ issue named, and asserts *bounded* recovery — not just eventual health:
 
 import pytest
 
-from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.sim.failure import FailureSchedule
 from repro.harness.chaos import (
@@ -40,7 +39,7 @@ def test_gst_aggregator_reelection_bounds_the_stall():
     """An unreachable aggregator loses office within aggregator_timeout:
     the surviving partition elects itself, the GST keeps advancing while
     the old aggregator is cut off, and office converges back after heal."""
-    system = build_system("gentlerain", SPEC, WL)
+    system = build_geo_system("gentlerain", SPEC, WL)
     dc0 = system.datacenters[0]
     old, other = dc0.partitions[0], dc0.partitions[1]
     samples = {}
@@ -65,7 +64,8 @@ def test_chain_repair_bounds_sequencer_outage():
     assigning numbers *during* the outage; requesters' retries make the
     client path exactly-once; everything still converges and stays causal."""
     history = SessionHistory()
-    system = build_system("sseq", SPEC, WL, history=history, chain_length=3)
+    system = build_geo_system("sseq", SPEC, WL, history=history,
+                              chain_length=3)
     head = system.datacenters[0].extras[0]
     fs = system.failures()
     fs.crash_at(0.8, head)
@@ -90,7 +90,7 @@ def test_plain_sequencer_crash_recovers_via_retries():
     recovers: partition retries (deduplicated at the sequencer) re-drive
     every lost request instead of stranding clients forever."""
     history = SessionHistory()
-    system = build_system("sseq", SPEC, WL, history=history)
+    system = build_geo_system("sseq", SPEC, WL, history=history)
     seq = system.datacenters[0].extras[0]
     fs = system.failures()
     fs.crash_at(0.8, seq)
@@ -207,13 +207,13 @@ def test_region_outage_rejects_replicated_region():
 
 
 @pytest.mark.parametrize("protocol", ["eventual", "gentlerain"])
-def test_failure_log_is_scheduler_invariant(protocol):
-    """The same fault schedule produces the identical (time, label) log
-    under the heap and the time-wheel scheduler backends."""
-    def run(scheduler):
+def test_failure_log_is_deterministic(protocol):
+    """The same seed and fault schedule, run twice, produce the identical
+    (time, label) log, holding all seven scheduled DSL entries."""
+    def run():
         spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
-                             seed=17, scheduler=scheduler)
-        system = build_system(protocol, spec, WL)
+                             seed=17)
+        system = build_geo_system(protocol, spec, WL)
         victim = system.datacenters[0].partitions[1]
         other = system.datacenters[1].partitions[0]
         fs = system.failures()
@@ -227,10 +227,9 @@ def test_failure_log_is_scheduler_invariant(protocol):
         system.run(1.5)
         return list(fs.log)
 
-    heap_log = run("heap")
-    wheel_log = run("wheel")
-    assert heap_log == wheel_log
-    assert len(heap_log) == 7
+    first = run()
+    assert run() == first
+    assert len(first) == 7
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.loop import EventLoop, SimulationError, TimeWheelLoop
+from repro.sim.loop import EventLoop, SimulationError
 
 
 def test_events_fire_in_time_order():
@@ -41,8 +41,11 @@ def test_run_until_stops_before_later_events():
     loop.run(until=2.0)
     assert fired == ["early"]
     assert loop.now == 2.0  # clock advances to the boundary
+    # scheduled between segments, ahead of the still-pending late event
+    loop.schedule(0.5, fired.append, "between")
     loop.run()
-    assert fired == ["early", "late"]
+    assert fired == ["early", "between", "late"]
+    assert loop.now == 5.0
 
 
 def test_cancelled_events_do_not_fire():
@@ -269,86 +272,3 @@ def test_periodic_rearms_after_callback_returns():
     handle.cancel()
     assert order == [("tick", 1.0), ("inner", 2.0), ("tick", 2.0)]
 
-
-# ----------------------------------------------------------------------
-# TimeWheelLoop
-# ----------------------------------------------------------------------
-
-def test_wheel_rejects_bad_parameters():
-    with pytest.raises(SimulationError):
-        TimeWheelLoop(resolution=0.0)
-    with pytest.raises(SimulationError):
-        TimeWheelLoop(resolution=-1e-3)
-    with pytest.raises(SimulationError):
-        TimeWheelLoop(wheel_slots=1)
-
-
-def test_wheel_fires_in_time_then_seq_order():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=8)
-    fired = []
-    loop.schedule(0.003, fired.append, "c")
-    loop.schedule(0.001, fired.append, "a")
-    loop.schedule(0.001, fired.append, "a2")   # same slot, same time: seq order
-    loop.schedule(0.002, fired.append, "b")
-    loop.run()
-    assert fired == ["a", "a2", "b", "c"]
-    assert loop.now == 0.003
-
-
-def test_wheel_overflow_beyond_horizon_fires_at_exact_time():
-    # horizon = 4 slots * 1ms = 4ms; 50ms lands deep in the overflow heap
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    seen = []
-    loop.schedule(0.050, lambda: seen.append(loop.now))
-    loop.schedule(0.001, lambda: seen.append(loop.now))
-    loop.run()
-    assert seen == [0.001, 0.050]
-    assert loop.processed_events == 2
-
-
-def test_wheel_cursor_jumps_over_empty_stretch():
-    # A single far-future event: the ring is empty, so _pop_next must jump
-    # the cursor straight to the overflow head instead of sweeping slots.
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    seen = []
-    loop.schedule(123.456, lambda: seen.append(loop.now))
-    loop.run()
-    assert seen == [123.456]
-
-
-def test_wheel_until_boundary_pushes_event_back():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    fired = []
-    loop.schedule(0.0015, fired.append, "early")
-    loop.schedule(0.0095, fired.append, "late")
-    loop.run(until=0.005)
-    assert fired == ["early"]
-    assert loop.now == 0.005
-    assert loop.pending() == 1
-    loop.run()
-    assert fired == ["early", "late"]
-    assert loop.pending() == 0
-
-
-def test_wheel_cancelled_events_skipped_in_ring_and_overflow():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    fired = []
-    ring_drop = loop.schedule(0.002, fired.append, "ring")
-    overflow_drop = loop.schedule(0.040, fired.append, "overflow")
-    loop.schedule(0.003, fired.append, "keep")
-    ring_drop.cancel()
-    overflow_drop.cancel()
-    assert loop.pending() == 1
-    loop.run()
-    assert fired == ["keep"]
-    assert loop.pending() == 0
-
-
-def test_wheel_supports_periodic_and_nested_scheduling():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    times = []
-    handle = loop.schedule_periodic(0.0027, lambda: times.append(loop.now))
-    loop.run(until=0.009)
-    handle.cancel()
-    loop.run()
-    assert times == pytest.approx([0.0027, 0.0054, 0.0081])

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
 from repro.core import EunomiaConfig
-from repro.datastruct import AVLTree
-from repro.geo.system import GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.metrics import percentile
 from repro.workload import WorkloadSpec
 
@@ -15,7 +13,7 @@ WL = WorkloadSpec(read_ratio=0.8, n_keys=64)
 
 
 def run_eunomia(duration=3.0, drain=3.0, spec=SPEC, workload=WL, **kwargs):
-    system = build_eunomia_system(spec, workload, **kwargs)
+    system = build_geo_system("eunomia", spec, workload, **kwargs)
     system.run(duration)
     system.quiesce(drain)
     return system
@@ -75,7 +73,7 @@ def test_geo_survives_eunomia_leader_crash():
     config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
                            replica_alive_interval=0.2,
                            replica_suspect_timeout=0.65)
-    system = build_eunomia_system(SPEC, WL, config=config)
+    system = build_geo_system("eunomia", SPEC, WL, config=config)
     system.start()
     # crash dc0's leader replica mid-run; the follower must take over
     leader = system.datacenters[0].eunomia_replicas[0]
@@ -86,14 +84,6 @@ def test_geo_survives_eunomia_leader_crash():
     survivor = system.datacenters[0].eunomia_replicas[1]
     assert survivor.is_leader()
     assert survivor.ops_stabilized > 0
-
-
-def test_avl_backed_eunomia_behaves_identically():
-    """§6 ablation: the tree choice affects speed, not behaviour."""
-    rb = run_eunomia()
-    avl = run_eunomia(tree_factory=AVLTree)
-    assert avl.converged()
-    assert avl.snapshots() == rb.snapshots()
 
 
 def test_without_data_metadata_separation():
@@ -123,7 +113,7 @@ def test_zipf_workload_converges():
 def test_eunomia_throughput_close_to_eventual():
     """The headline Figure 5 claim at small scale."""
     eunomia = run_eunomia(duration=3.0)
-    eventual = build_system("eventual", SPEC, WL)
+    eventual = build_geo_system("eventual", SPEC, WL)
     eventual.run(3.0)
     ratio = eunomia.total_throughput() / eventual.total_throughput()
     assert ratio > 0.90

@@ -4,11 +4,7 @@ import pytest
 
 from repro.calibration import Calibration
 from repro.core import EunomiaConfig
-from repro.geo.datacenter import Datacenter
-from repro.geo.system import GeoSystem, GeoSystemSpec, build_eunomia_system
-from repro.kvstore.ring import ConsistentHashRing
-from repro.metrics import MetricsHub
-from repro.sim import ConstantLatency, Environment, Network
+from repro.geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from repro.sim.latency import RttMatrix
 from repro.workload import WorkloadSpec
 
@@ -27,17 +23,18 @@ class TestSpec:
         assert isinstance(GeoSystemSpec().calibration, Calibration)
 
 
+def _idle_deployment(config=None):
+    """Two EunomiaKV sites of two partitions each, with no clients."""
+    spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=0,
+                         seed=3)
+    return build_geo_system("eunomia", spec, WorkloadSpec(), config=config)
+
+
 class TestDatacenterAssembly:
     @pytest.fixture
     def dc_pair(self):
-        env = Environment(seed=3)
-        Network(env, ConstantLatency(0.0001))
-        ring = ConsistentHashRing(2)
-        config = EunomiaConfig()
-        metrics = MetricsHub()
-        dcs = [Datacenter(env, i, 2, 2, ring, config, metrics=metrics)
-               for i in range(2)]
-        return env, dcs
+        system = _idle_deployment()
+        return system.env, system.datacenters
 
     def test_structure(self, dc_pair):
         _, dcs = dc_pair
@@ -49,7 +46,6 @@ class TestDatacenterAssembly:
 
     def test_connect_wires_destinations_and_siblings(self, dc_pair):
         _, (a, b) = dc_pair
-        a.connect(b)
         assert b.receiver in a.eunomia_replicas[0].destinations
         assert a.partitions[0].siblings[1] is b.partitions[0]
 
@@ -59,19 +55,16 @@ class TestDatacenterAssembly:
             a.connect(a)
 
     def test_ft_mode_builds_replica_group(self):
-        env = Environment(seed=3)
-        Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(fault_tolerant=True, n_replicas=3)
-        dc = Datacenter(env, 0, 2, 2, ConsistentHashRing(2), config)
+        dc = _idle_deployment(config).datacenters[0]
         assert len(dc.eunomia_replicas) == 3
         assert dc.eunomia_replicas[0].peers == dc.eunomia_replicas[1:]
 
     def test_leader_helper_skips_crashed(self):
-        env = Environment(seed=3)
-        Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
-        dc = Datacenter(env, 0, 2, 2, ConsistentHashRing(2), config)
-        dc.start()
+        system = _idle_deployment(config)
+        env, dc = system.env, system.datacenters[0]
+        system.start()
         env.run(until=0.1)
         assert dc.leader() is dc.eunomia_replicas[0]
         dc.eunomia_replicas[0].crash()
@@ -89,8 +82,8 @@ class TestGeoSystemFacade:
     def system(self):
         spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
                              seed=8)
-        return build_eunomia_system(spec, WorkloadSpec(read_ratio=0.8,
-                                                       n_keys=32))
+        return build_geo_system("eunomia", spec,
+                                WorkloadSpec(read_ratio=0.8, n_keys=32))
 
     def test_start_idempotent(self, system):
         system.start()

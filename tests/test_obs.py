@@ -21,8 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import build_system
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import capture_golden
 from repro.metrics.collector import MetricsHub
 from repro.metrics.summary import EmptySeriesWarning, percentile
@@ -207,8 +206,8 @@ def test_metrics_hub_queries_return_copies():
 def observed_run():
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
                          seed=11)
-    system = build_system("eunomia", spec, WorkloadSpec(read_ratio=0.75,
-                                                        n_keys=64))
+    system = build_geo_system("eunomia", spec,
+                              WorkloadSpec(read_ratio=0.75, n_keys=64))
     obs = system.observe(sample_every=4)
     system.run(1.5)
     system.quiesce(1.5)
@@ -230,7 +229,7 @@ def test_gauge_scraper_records_nonnegative_series(observed_run):
 def test_gst_family_reports_pending_depth_gauge():
     spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
                          seed=3)
-    system = build_system("gentlerain", spec,
+    system = build_geo_system("gentlerain", spec,
                           WorkloadSpec(read_ratio=0.5, n_keys=32))
     system.observe(sample_every=8)
     system.run(1.0)

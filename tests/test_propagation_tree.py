@@ -6,7 +6,7 @@ from repro.checker import CausalChecker, SessionHistory
 from repro.core import EunomiaConfig, EunomiaService, TreeRelay
 from repro.core.messages import AddOpBatch, PartitionHeartbeat
 from repro.core.tree import CombinedBatch
-from repro.geo.system import GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.kvstore.types import Update
 from repro.metrics import MetricsHub
@@ -115,7 +115,8 @@ class TestTreeDeployment:
     def test_geo_system_with_tree_is_causal_and_converges(self):
         config = EunomiaConfig(use_propagation_tree=True, tree_fanout=2)
         history = SessionHistory()
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=5),
             WorkloadSpec(read_ratio=0.8, n_keys=60),

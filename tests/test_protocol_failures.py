@@ -23,9 +23,8 @@ as a full end-to-end deployment on the same spine.
 
 import pytest
 
-from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.workload import WorkloadSpec
 
 SPEC = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=3, seed=23)
@@ -36,7 +35,7 @@ CRASH_AT, RECOVER_AT = 0.8, 1.6
 
 def run_with_partition_crash(protocol, **kwargs):
     history = SessionHistory()
-    system = build_system(protocol, SPEC, WL, history=history, **kwargs)
+    system = build_geo_system(protocol, SPEC, WL, history=history, **kwargs)
     # partition 1 of dc0: not the GST aggregator (index 0), so the
     # datacenter keeps aggregating — from a stale report — while it's down
     victim = system.datacenters[0].partitions[1]
@@ -92,7 +91,7 @@ def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
     report (``aggregator_timeout``, default 10 × gst_interval = 50 ms).
     The unbounded freeze used to be GentleRain's failure mode; now the
     stall is bounded and the GST resumes while the partition is still down."""
-    system = build_system("gentlerain", SPEC, WL)
+    system = build_geo_system("gentlerain", SPEC, WL)
     victim = system.datacenters[0].partitions[1]
     sibling = system.datacenters[0].partitions[0]
     samples = {}
@@ -121,7 +120,7 @@ def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
 def test_failure_actions_added_mid_run_still_fire():
     """system.failures() arms at start; actions added *after* that (or
     between run() windows) must schedule immediately, not vanish."""
-    system = build_system("eventual", SPEC, WL)
+    system = build_geo_system("eventual", SPEC, WL)
     system.run(0.5)
     victim = system.datacenters[0].partitions[1]
     system.failures().crash_at(1.0, victim)
@@ -139,7 +138,7 @@ def test_chain_sequencer_end_to_end(chain_length):
     """sseq × chain_length: the §7.1 chain-replicated sequencer as a full
     deployment — converges and passes the causal checker like plain sseq."""
     history = SessionHistory()
-    system = build_system("sseq", SPEC, WL, history=history,
+    system = build_geo_system("sseq", SPEC, WL, history=history,
                           chain_length=chain_length)
     system.run(2.0)
     system.quiesce(2.5)

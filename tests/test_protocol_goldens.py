@@ -9,33 +9,17 @@ invisible: every protocol, rebuilt as a plugin over
 bit-for-bit — final stores, the full ordered remote-visibility timeline,
 and operation counts.
 
-The goldens pin two fixed seeds; the hypothesis property extends the
-guarantee across arbitrary seeds by asserting that every assembly route
-into the spine (the legacy ``build_*_system`` wrappers, the
-``build_system`` dispatcher, and ``build_geo_system`` itself) produces
-identical runs — there is only one deployment path left to disagree
-with itself.
+``build_geo_system`` is the one deployment entry point, so these digests
+pin every protocol's only assembly path.
 """
 
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.baselines import (
-    build_cure_system,
-    build_gentlerain_system,
-    build_seq_system,
-    build_system,
-)
 from repro.geo.system import GeoSystemSpec, build_geo_system
-from repro.harness.goldens import (
-    GOLDEN_SPEC,
-    GOLDEN_WORKLOAD,
-    capture_golden,
-    run_fingerprint,
-)
+from repro.harness.goldens import GOLDEN_SPEC, GOLDEN_WORKLOAD, capture_golden
 from repro.workload import WorkloadSpec
 
 GOLDENS = json.loads(
@@ -64,25 +48,6 @@ def test_spine_reproduces_pre_refactor_golden(golden):
             f"{golden_id(golden)}: {field} drifted across the refactor")
 
 
-@pytest.mark.parametrize("protocol,seed", [("eunomia", 1234),
-                                           ("gentlerain", 77)])
-def test_time_wheel_reproduces_goldens(protocol, seed):
-    """The slotted time-wheel is a drop-in scheduler backend.
-
-    Both backends fire events in identical (time, seq) order, so a whole
-    protocol run under ``scheduler="wheel"`` must reproduce the heap-backed
-    golden digest bit-for-bit — one Eunomia and one GST-style capture pin
-    the claim end to end (the exhaustive ordering property lives in
-    ``tests/test_sim_batching.py``).
-    """
-    golden = next(g for g in GOLDENS
-                  if g["protocol"] == protocol and g["seed"] == seed)
-    fresh = capture_golden(protocol, seed, scheduler="wheel")
-    for field in STRICT_FIELDS:
-        assert fresh[field] == golden[field], (
-            f"{golden_id(golden)}: {field} drifted under the time wheel")
-
-
 def test_cure_pending_backends_equivalent():
     """The run-aware pending set is a pure data-structure swap.
 
@@ -100,8 +65,8 @@ def test_cure_pending_backends_equivalent():
 def test_cure_rejects_unknown_pending_backend():
     spec = GeoSystemSpec(seed=1, **GOLDEN_SPEC)
     with pytest.raises(ValueError):
-        build_cure_system(spec, WorkloadSpec(**GOLDEN_WORKLOAD),
-                          pending_backend="heap")
+        build_geo_system("cure", spec, WorkloadSpec(**GOLDEN_WORKLOAD),
+                         pending_backend="heap")
 
 
 def test_unknown_options_rejected_up_front():
@@ -110,37 +75,15 @@ def test_unknown_options_rejected_up_front():
     spec = GeoSystemSpec(seed=1, **GOLDEN_SPEC)
     wl = WorkloadSpec(**GOLDEN_WORKLOAD)
     with pytest.raises(TypeError, match="timngs"):
-        build_system("eunomia", spec, wl, timngs=123)
+        build_geo_system("eunomia", spec, wl, timngs=123)
     with pytest.raises(TypeError, match="pending_backend"):
-        build_system("eventual", spec, wl, pending_backend="runs")
+        build_geo_system("eventual", spec, wl, pending_backend="runs")
     with pytest.raises(TypeError, match="chain_length"):
-        build_system("gentlerain", spec, wl, chain_length=3)
+        build_geo_system("gentlerain", spec, wl, chain_length=3)
+    # S-Seq vs A-Seq is chosen by protocol name, not a flag.
+    with pytest.raises(TypeError, match="synchronous"):
+        build_geo_system("sseq", spec, wl, synchronous=True)
+    # The stabilizer buffer is chosen by EunomiaConfig.buffer_backend only.
+    with pytest.raises(TypeError, match="tree_factory"):
+        build_geo_system("eunomia", spec, wl, tree_factory=dict)
 
-
-_ROUTES = {
-    "sseq": (lambda spec, wl: build_seq_system(spec, wl, synchronous=True),
-             lambda spec, wl: build_system("sseq", spec, wl),
-             lambda spec, wl: build_geo_system("sseq", spec, wl)),
-    "gentlerain": (build_gentlerain_system,
-                   lambda spec, wl: build_system("gentlerain", spec, wl),
-                   lambda spec, wl: build_geo_system("gentlerain", spec, wl)),
-    "cure": (build_cure_system,
-             lambda spec, wl: build_system("cure", spec, wl),
-             lambda spec, wl: build_geo_system("cure", spec, wl)),
-}
-
-
-@settings(max_examples=4, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**16),
-       protocol=st.sampled_from(sorted(_ROUTES)))
-def test_assembly_routes_agree(seed, protocol):
-    """Sequencer/GentleRain/Cure runs are identical no matter which
-    assembly entry point built them — the refactor left one spine."""
-    spec = GeoSystemSpec(seed=seed, **GOLDEN_SPEC)
-    digests = []
-    for route in _ROUTES[protocol]:
-        system = route(spec, WorkloadSpec(**GOLDEN_WORKLOAD))
-        system.run(0.8)
-        system.quiesce(1.0)
-        digests.append(run_fingerprint(system))
-    assert digests[0] == digests[1] == digests[2]

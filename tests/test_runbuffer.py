@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import EunomiaConfig
 from repro.datastruct import OpBuffer, RunBuffer, TreeOpBuffer
-from repro.geo.system import GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.workload import WorkloadSpec
 
@@ -204,7 +204,6 @@ class TestBackendEndToEnd:
         reference = self._rig_sequence("rbtree")
         assert reference, "rbtree rig emitted nothing"
         assert self._rig_sequence("runs") == reference
-        assert self._rig_sequence("avl") == reference
 
     def test_sharded_rig_with_runs_backend_matches(self):
         assert (self._rig_sequence("runs", n_shards=4)
@@ -217,7 +216,7 @@ class TestBackendEndToEnd:
         snapshots = {}
         for backend in ("runs", "rbtree"):
             config = EunomiaConfig(buffer_backend=backend)
-            system = build_eunomia_system(spec, wl, config=config)
+            system = build_geo_system("eunomia", spec, wl, config=config)
             system.run(2.0)
             system.quiesce(2.0)
             assert system.converged()

@@ -26,7 +26,7 @@ from repro.core import (
     build_stabilizer_stack,
 )
 from repro.core.messages import AddOpBatch, PartitionHeartbeat, ShardStableBatch
-from repro.geo.system import GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.kvstore.types import Update
 from repro.sim import ConstantLatency, Environment, Network, Process
@@ -146,7 +146,8 @@ class TestShardAssignment:
 
     def test_oversharded_deployment_rejected_at_build(self):
         with pytest.raises(ValueError, match="some shards would track no"):
-            build_eunomia_system(
+            build_geo_system(
+                "eunomia",
                 GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=1),
                 WorkloadSpec(), config=EunomiaConfig(n_shards=4))
 
@@ -571,7 +572,8 @@ class TestShardedEndToEnd:
     def test_sharded_geo_system_converges_and_is_causal(self):
         config = EunomiaConfig(n_shards=2)
         history = SessionHistory()
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=5),
             WorkloadSpec(read_ratio=0.8, n_keys=60),
@@ -589,7 +591,8 @@ class TestShardedEndToEnd:
     def test_sharded_geo_with_propagation_tree_converges(self):
         config = EunomiaConfig(n_shards=2, use_propagation_tree=True,
                                tree_fanout=2)
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=6),
             WorkloadSpec(read_ratio=0.8, n_keys=60), config=config)
@@ -602,7 +605,8 @@ class TestShardedEndToEnd:
         """Acceptance shape: n_shards=4 × n_replicas=3 runs end-to-end."""
         config = EunomiaConfig(n_shards=4, n_replicas=3, fault_tolerant=True)
         history = SessionHistory()
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=15),
             WorkloadSpec(read_ratio=0.8, n_keys=60),
@@ -628,7 +632,8 @@ class TestShardedEndToEnd:
                                replica_alive_interval=0.25,
                                replica_suspect_timeout=0.8)
         history = SessionHistory()
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=16),
             WorkloadSpec(read_ratio=0.8, n_keys=60),
@@ -702,7 +707,8 @@ class TestShardedEndToEnd:
         assert deduped == reference
 
     def test_single_shard_config_uses_plain_service(self):
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=1,
                           seed=3),
             WorkloadSpec(), config=EunomiaConfig(n_shards=1))

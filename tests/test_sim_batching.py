@@ -1,163 +1,24 @@
-"""Property tests for the batched simulation core.
+"""Property test for the batched simulation core.
 
-Two equivalence claims underpin every batching optimisation in
-``repro.sim`` — if either broke, the goldens would drift and every
-experiment figure would silently change:
-
-1. **Scheduler backends are interchangeable.**  The slotted time-wheel
-   (:class:`repro.sim.loop.TimeWheelLoop`) fires arbitrary mixes of
-   one-shot, periodic, cancelled, and respawning events in exactly the
-   same order as the reference binary heap, across ``run(until=...)``
-   segment boundaries, including events beyond the wheel horizon (the
-   overflow heap + migration path).
-
-2. **``send_many`` is a loop of ``send``.**  Batched transmission over a
-   link must produce byte-for-byte the same delivery log — per-message
-   delivery times, per-link FIFO order, loss outcomes, and all four
-   network counters — as sending the same messages one at a time,
-   because both consume the network RNG in the same sequence.  Only the
-   *event count* may differ (same-time groups collapse into one
-   ``deliver_batch``), which is invisible at the (time, payload) level.
-
-The protocol-level pin of the same claims is
-``tests/test_protocol_goldens.py::test_time_wheel_reproduces_goldens``.
+**``send_many`` is a loop of ``send``.**  Batched transmission over a
+link must produce byte-for-byte the same delivery log — per-message
+delivery times, per-link FIFO order, loss outcomes, and all four network
+counters — as sending the same messages one at a time, because both
+consume the network RNG in the same sequence.  Only the *event count* may
+differ (same-time groups collapse into one ``deliver_batch``), which is
+invisible at the (time, payload) level.  If this broke, the goldens would
+drift and every experiment figure would silently change.
 """
-
-import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.env import Environment
 from repro.sim.latency import ConstantLatency, JitteredLatency
-from repro.sim.loop import EventLoop, TimeWheelLoop
 from repro.sim.network import Network
 from repro.sim.process import Process
 
 # ----------------------------------------------------------------------
-# Property 1: time-wheel == heap, for arbitrary schedules
-# ----------------------------------------------------------------------
-
-#: base time unit, deliberately not a multiple of the wheel resolution so
-#: events land mid-slot and slot rounding errors would be caught
-_U = 0.00037
-
-
-def _run_program(loop, one_shots, periodics, boundaries):
-    """Execute a generated schedule on ``loop``; return its firing log.
-
-    Each boundary is ``(units, mid_shots)``: after ``run(until=units*_U)``
-    the mid-shots are scheduled *between* segments — exactly the windowed
-    GeoSystem.run()/quiesce() pattern, where fresh events land in a wheel
-    whose cursor already advanced (possibly far ahead, via the empty-ring
-    overflow jump and a pushed-back event).
-    """
-    log = []
-    handles = []
-    ids = itertools.count()
-
-    def fire_one(i, delay_units, respawn):
-        log.append((loop.now, "one", i))
-        if respawn:
-            loop.schedule(delay_units * 0.5 * _U + _U,
-                          fire_child, i)
-
-    def fire_child(i):
-        log.append((loop.now, "child", i))
-
-    def schedule_one(delay_units, cancel, respawn):
-        i = next(ids)
-        event = loop.schedule(delay_units * _U, fire_one, i, delay_units,
-                              respawn)
-        if cancel:
-            event.cancel()
-
-    for shot in one_shots:
-        schedule_one(*shot)
-
-    for j, (interval_units, firings, phase_units) in enumerate(periodics):
-        remaining = [firings]
-
-        def fire_periodic(j=j, remaining=remaining):
-            log.append((loop.now, "periodic", j))
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                handles[j].cancel()     # cancel from inside the callback
-
-        handles.append(loop.schedule_periodic(
-            interval_units * _U, fire_periodic,
-            phase=None if phase_units == 0 else phase_units * _U))
-
-    for units, mid_shots in boundaries:
-        loop.run(until=units * _U)
-        log.append(("segment", loop.now, loop.pending()))
-        for shot in mid_shots:
-            schedule_one(*shot)
-    loop.run()
-    return log
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    one_shots=st.lists(
-        st.tuples(st.integers(0, 60), st.booleans(), st.booleans()),
-        max_size=10),
-    periodics=st.lists(
-        st.tuples(st.integers(1, 9), st.integers(1, 4), st.integers(0, 5)),
-        max_size=3),
-    boundaries=st.lists(
-        st.tuples(
-            st.integers(1, 70),
-            st.lists(st.tuples(st.integers(0, 60), st.booleans(),
-                               st.booleans()),
-                     max_size=3)),
-        max_size=3).map(lambda bs: sorted(bs, key=lambda b: b[0])),
-    resolution_us=st.sampled_from([200, 1000, 5000]),
-    wheel_slots=st.sampled_from([2, 4, 64]),
-)
-def test_time_wheel_matches_heap(one_shots, periodics, boundaries,
-                                 resolution_us, wheel_slots):
-    """Any mix of one-shots (some cancelled, some respawning), periodics
-    (self-cancelling mid-run), and run-until segments fires identically on
-    both backends.  Tiny wheels (2 slots at 200 us over delays up to ~22 ms)
-    force nearly every event through the overflow heap and its migration
-    path; large resolutions force many events into one slot.  Boundaries
-    carry fresh one-shots scheduled *between* segments — including delays
-    far shorter than the gap to the overflow head — so the wheel must keep
-    its cursor sweepable after a ``run(until=...)`` push-back."""
-    heap_loop = EventLoop()
-    wheel_loop = TimeWheelLoop(resolution=resolution_us * 1e-6,
-                               wheel_slots=wheel_slots)
-    heap_log = _run_program(heap_loop, one_shots, periodics, boundaries)
-    wheel_log = _run_program(wheel_loop, one_shots, periodics, boundaries)
-    assert wheel_log == heap_log
-    assert wheel_loop.processed_events == heap_loop.processed_events
-    assert wheel_loop.now == heap_loop.now
-    assert wheel_loop.pending() == heap_loop.pending() == 0
-
-
-def test_wheel_cursor_rewinds_after_overflow_jump_push_back():
-    """Regression: an event far beyond the wheel horizon makes the empty-ring
-    fast path jump the cursor to the overflow head's slot; when that event is
-    then pushed back past a ``run(until=...)`` boundary, the cursor must
-    rewind — otherwise events scheduled between segments land in
-    already-swept buckets, fire a whole lap late (after the far-future
-    event), and drag ``now`` backwards."""
-    for cls, kwargs in ((EventLoop, {}),
-                        (TimeWheelLoop, {"resolution": 1e-3,
-                                         "wheel_slots": 4096})):
-        loop = cls(**kwargs)
-        fired = []
-        loop.schedule(10.0, fired.append, 10.0)   # beyond the ~4.1 s horizon
-        loop.run(until=1.0)
-        loop.schedule(0.5, fired.append, 1.5)     # lands behind a stale cursor
-        loop.run()
-        assert fired == [1.5, 10.0]
-        assert loop.now == 10.0
-        assert loop.pending() == 0
-
-
-# ----------------------------------------------------------------------
-# Property 2: send_many == loop of send
+# send_many == loop of send
 # ----------------------------------------------------------------------
 
 class Probe:

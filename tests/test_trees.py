@@ -1,4 +1,4 @@
-"""Property-based and unit tests for the red–black and AVL trees."""
+"""Property-based and unit tests for the red–black tree and the op buffer."""
 
 import random
 
@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datastruct import AVLTree, OpBuffer, RedBlackTree
+from repro.datastruct import OpBuffer, RedBlackTree
 
 keys = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=200)
 
 
-@pytest.mark.parametrize("tree_cls", [RedBlackTree, AVLTree])
+@pytest.mark.parametrize("tree_cls", [RedBlackTree])
 class TestTreeBasics:
     def test_empty(self, tree_cls):
         tree = tree_cls()
@@ -124,22 +124,25 @@ def test_rbtree_max_item():
 
 
 def test_trees_agree_on_random_workload():
-    """The §6 ablation precondition: both structures are interchangeable."""
+    """A long insert/pop_leq mix matches a sorted-dict model throughout."""
     rng = random.Random(42)
-    rb, avl = RedBlackTree(), AVLTree()
+    rb, model = RedBlackTree(), {}
     for _ in range(3000):
         k = rng.randrange(500)
         rb.insert(k, k)
-        avl.insert(k, k)
+        model[k] = k
         if rng.random() < 0.3:
             bound = rng.randrange(500)
-            assert rb.pop_leq(bound) == avl.pop_leq(bound)
-    assert list(rb.items()) == list(avl.items())
+            popped = sorted((key, v) for key, v in model.items()
+                            if key <= bound)
+            for key, _ in popped:
+                del model[key]
+            assert rb.pop_leq(bound) == popped
+    assert list(rb.items()) == sorted(model.items())
     rb.validate()
-    avl.validate()
 
 
-BACKENDS = ["runs", "rbtree", "avl"]
+BACKENDS = ["runs", "rbtree"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -211,20 +214,11 @@ def test_facade_dispatches_backends():
     assert isinstance(OpBuffer(), RunBuffer)             # default strategy
     assert isinstance(OpBuffer(backend="runs"), RunBuffer)
     assert isinstance(OpBuffer(backend="rbtree"), TreeOpBuffer)
-    assert isinstance(OpBuffer(backend="avl"), TreeOpBuffer)
-    assert isinstance(OpBuffer(tree_factory=AVLTree), TreeOpBuffer)
     with pytest.raises(ValueError, match="unknown buffer backend"):
         OpBuffer(backend="btree")
 
 
-def test_avl_backing():
-    buf = OpBuffer(tree_factory=AVLTree)
-    buf.add(2, 0, 1, "b")
-    buf.add(1, 0, 0, "a")
-    assert buf.pop_stable(5) == ["a", "b"]
-
-
-@pytest.mark.parametrize("tree_cls", [RedBlackTree, AVLTree])
+@pytest.mark.parametrize("tree_cls", [RedBlackTree])
 def test_drop_leq_counts_without_collecting(tree_cls):
     tree = tree_cls()
     for k in range(10):
