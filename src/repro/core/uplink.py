@@ -177,13 +177,15 @@ class EunomiaUplink:
     def _flush(self) -> None:
         if not self.replicas:
             return
-        if self.config.fault_tolerant:
-            for replica in self.replicas:
-                self._ship_suffix(replica)
-            self._prune()
-        else:
-            pending = self._pending
-            if pending:
+        pending = self._pending
+        # An idle partition goes straight to Alg. 2's heartbeat check:
+        # shipping and pruning an empty run do nothing.
+        if pending.ts:
+            if self.config.fault_tolerant:
+                for replica in self.replicas:
+                    self._ship_suffix(replica)
+                self._prune()
+            else:
                 block = pending.cut(0)
                 pending.drop_prefix(len(pending))
                 self._transmit(self.replicas[0], block, n_new=len(block),

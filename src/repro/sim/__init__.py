@@ -25,7 +25,7 @@ from .latency import (
     RttMatrix,
     paper_topology,
 )
-from .loop import Event, EventLoop, PeriodicHandle, SimulationError
+from .loop import EventLoop, PeriodicHandle, SimulationError
 from .network import Network
 from .process import CostModel, PeriodicTask, Process
 from .rng import RngRegistry
@@ -33,7 +33,6 @@ from .rng import RngRegistry
 __all__ = [
     "DiskModel",
     "Environment",
-    "Event",
     "EventLoop",
     "PeriodicHandle",
     "SimulationError",

@@ -49,6 +49,10 @@ class CostModel:
     size-proportional component for messages that expose a ``size_bytes``
     attribute (used to charge Cure for its fatter vector metadata, for
     example).
+
+    A :class:`Process` resolves each message class's entry once, on its
+    first delivery, so the model must not be mutated after traffic starts
+    (a cost callable may still read state that changes).
     """
 
     __slots__ = ("costs", "default", "per_byte")
@@ -74,16 +78,12 @@ class PeriodicTask:
     """Handle for a repeating local task; ``stop()`` cancels future firings.
 
     A thin crash-aware veneer over the loop-level
-    :class:`repro.sim.loop.PeriodicHandle`: ``period`` stays a mutable
-    attribute (and may be a zero-argument callable), re-read before every
-    firing, preserving the historical contract that runtime mutation takes
-    effect on the next tick.
+    :class:`repro.sim.loop.PeriodicHandle`.
     """
 
-    __slots__ = ("_stopped", "_handle", "period")
+    __slots__ = ("_stopped", "_handle")
 
-    def __init__(self, period):
-        self.period = period
+    def __init__(self):
         self._stopped = False
         self._handle = None   # wired by Process.periodic
 
@@ -95,10 +95,6 @@ class PeriodicTask:
     @property
     def stopped(self) -> bool:
         return self._stopped
-
-    def _interval(self) -> float:
-        period = self.period
-        return period() if callable(period) else period
 
 
 class Process:
@@ -116,7 +112,9 @@ class Process:
         self.state_lost = False   # set by an amnesia crash, cleared on restore
         self._epoch = 0           # bumped on crash; stale callbacks are dropped
         self._lane_busy: dict[str, float] = {}   # lane -> end of last slot
-        self._handler_cache: dict[type, Callable] = {}
+        #: message class -> (cost, cost callable or None, handler, lane or
+        #: None); see :meth:`_plan`
+        self._plans: dict[type, tuple] = {}
         if env.network is not None:
             env.network.register(self)
 
@@ -154,11 +152,11 @@ class Process:
         crash guard retires the whole chain (one uniform re-arm point —
         recovery paths simply call the owning component's ``start()`` again).
         """
-        task = PeriodicTask(period)
+        task = PeriodicTask()
         epoch = self._epoch
 
         def body() -> None:
-            if task.stopped or self.crashed or self._epoch != epoch:
+            if task._stopped or self.crashed or self._epoch != epoch:
                 task.stop()
                 return
             if cost > 0.0:
@@ -166,9 +164,7 @@ class Process:
             else:
                 fn()
 
-        task._handle = self.env.loop.schedule_periodic(
-            task._interval, body,
-            phase=task._interval() if phase is None else phase)
+        task._handle = self._loop.schedule_periodic(period, body, phase)
         return task
 
     # ------------------------------------------------------------------
@@ -193,24 +189,61 @@ class Process:
         self.env.network.multicast(self, dsts, msg)
 
     def lane_of(self, msg: Any) -> str:
-        """Service lane for ``msg`` (override to add background servers)."""
+        """Service lane for ``msg`` (override to add background servers).
+
+        An override is called for every delivered message, so it may route
+        by content; only processes that keep this default have their lane
+        cached per message class.
+        """
         return "cpu"
+
+    def _plan(self, cls: type) -> tuple:
+        """Resolve how messages of ``cls`` are served, once per class.
+
+        Returns ``(cost, cost_fn, handler, lane)``: ``cost_fn`` is ``None``
+        when the service cost is the constant ``cost``, and ``lane`` is
+        ``None`` when :meth:`lane_of` is overridden and must be asked per
+        message.
+        """
+        model = self.cost_model
+        base = model.costs.get(cls.__name__, model.default)
+        if model.per_byte:
+            cost, cost_fn = 0.0, model.cost_of
+        elif callable(base):
+            cost, cost_fn = 0.0, base
+        else:
+            cost, cost_fn = base, None
+        handler = getattr(self, "on_" + _snake(cls.__name__), None)
+        if handler is None:
+            error = (f"{type(self).__name__} {self.name!r} has no handler "
+                     f"for {cls.__name__}")
+
+            def handler(msg: Any, src: "Process") -> None:
+                raise NotImplementedError(error)
+        default_lane = getattr(self.lane_of, "__func__", None) is Process.lane_of
+        plan = self._plans[cls] = (cost, cost_fn, handler,
+                                   "cpu" if default_lane else None)
+        return plan
 
     def deliver(self, msg: Any, src: "Process") -> None:
         """Called by the network at delivery time; feeds the service queue.
 
         This is :meth:`_enqueue` inlined for the dominant per-message case:
         the service-slot reservation is identical, but the scheduled event
-        carries ``(epoch, msg, src)`` as plain args into
+        carries ``(epoch, handler, msg, src)`` as plain args into
         :meth:`_run_delivery` instead of allocating two closures per
-        message (the dispatch lambda and the guard) — same completion time,
-        same event order, two fewer allocations on the hottest path in the
-        simulator.
+        message.  Cost and handler come from the per-class :meth:`_plan`.
         """
         if self.crashed:
             return
-        cost = self.cost_model.cost_of(msg)
-        lane = self.lane_of(msg)
+        plan = self._plans.get(type(msg))
+        if plan is None:
+            plan = self._plan(type(msg))
+        cost, cost_fn, handler, lane = plan
+        if cost_fn is not None:
+            cost = cost_fn(msg)
+        if lane is None:
+            lane = self.lane_of(msg)
         busy = self._lane_busy
         loop = self._loop
         start = busy.get(lane, 0.0)
@@ -219,12 +252,14 @@ class Process:
             start = now
         complete = start + cost
         busy[lane] = complete
-        loop.schedule_at(complete, self._run_delivery, self._epoch, msg, src)
+        loop.schedule_at(complete, self._run_delivery, self._epoch, handler,
+                         msg, src)
 
-    def _run_delivery(self, epoch: int, msg: Any, src: "Process") -> None:
-        """Service-slot completion: dispatch unless crashed/re-epoched."""
+    def _run_delivery(self, epoch: int, handler: Callable[[Any, "Process"], Any],
+                      msg: Any, src: "Process") -> None:
+        """Service-slot completion: run the handler unless crashed/re-epoched."""
         if not self.crashed and self._epoch == epoch:
-            self._dispatch(msg, src)
+            handler(msg, src)
 
     def deliver_batch(self, msgs: tuple, src: "Process") -> None:
         """One network batch arriving as a single event (``send_many``).
@@ -244,39 +279,52 @@ class Process:
         """
         if self.crashed:
             return
-        cost_of = self.cost_model.cost_of
+        plans = self._plans
         lane_of = self.lane_of
+        served = []
+        free = True
+        for msg in msgs:
+            plan = plans.get(type(msg))
+            if plan is None:
+                plan = self._plan(type(msg))
+            cost, cost_fn, handler, lane = plan
+            if cost_fn is not None:
+                cost = cost_fn(msg)
+            if lane is None:
+                lane = lane_of(msg)
+            if cost:
+                free = False
+            served.append((cost, lane, handler))
         loop = self._loop
-        costs = [cost_of(msg) for msg in msgs]
-        if not any(costs):
-            lanes = {lane_of(msg) for msg in msgs}
-            if len(lanes) == 1 and not self._lane_busy.get(lanes.pop(), 0.0) > loop._now:
-                loop.schedule_at(loop._now, self._run_group, self._epoch,
+        now = loop._now
+        busy = self._lane_busy
+        if free:
+            lanes = {lane for _, lane, _ in served}
+            if len(lanes) == 1 and not busy.get(lanes.pop(), 0.0) > now:
+                loop.schedule_at(now, self._run_group, self._epoch,
+                                 [handler for _, _, handler in served],
                                  msgs, src)
                 return
-        busy = self._lane_busy
-        now = loop._now
         run_delivery = self._run_delivery
         epoch = self._epoch
-        for msg, cost in zip(msgs, costs):
-            lane = lane_of(msg)
+        for msg, (cost, lane, handler) in zip(msgs, served):
             start = busy.get(lane, 0.0)
             if start < now:
                 start = now
             complete = start + cost
             busy[lane] = complete
-            loop.schedule_at(complete, run_delivery, epoch, msg, src)
+            loop.schedule_at(complete, run_delivery, epoch, handler, msg, src)
 
-    def _run_group(self, epoch: int, msgs: tuple, src: "Process") -> None:
+    def _run_group(self, epoch: int, handlers: list, msgs: tuple,
+                   src: "Process") -> None:
         """Fire one merged free-message group (``deliver_batch``)."""
-        dispatch = self._dispatch
-        for msg in msgs:
+        for handler, msg in zip(handlers, msgs):
             # A handler may crash (or crash+recover) the process mid-batch;
             # the per-message path's delivery guard drops the remainder, so
             # the group run must too.
             if self.crashed or self._epoch != epoch:
                 return
-            dispatch(msg, src)
+            handler(msg, src)
 
     def _enqueue(self, fn: Callable[[], Any], cost: float,
                  lane: str = "cpu") -> None:
@@ -291,18 +339,6 @@ class Process:
         """Crash/epoch-guarded trampoline for :meth:`_enqueue` slots."""
         if not self.crashed and self._epoch == epoch:
             fn()
-
-    def _dispatch(self, msg: Any, src: "Process") -> None:
-        handler = self._handler_cache.get(type(msg))
-        if handler is None:
-            handler = getattr(self, "on_" + _snake(type(msg).__name__), None)
-            if handler is None:
-                raise NotImplementedError(
-                    f"{type(self).__name__} {self.name!r} has no handler for "
-                    f"{type(msg).__name__}"
-                )
-            self._handler_cache[type(msg)] = handler
-        handler(msg, src)
 
     # ------------------------------------------------------------------
     # Failure injection

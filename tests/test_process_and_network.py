@@ -90,6 +90,32 @@ def test_lanes_are_independent_servers(env):
     assert times == pytest.approx([0.101, 0.101])
 
 
+def test_lane_and_cost_stay_per_message_after_plan_warms(env):
+    """The per-class delivery plan caches handlers, not lanes or sizes: a
+    content-routed lane and a size-dependent cost are computed for every
+    message, also once the class has been seen."""
+    Network(env, ConstantLatency(0.001))
+
+    class Routed(Echo):
+        def lane_of(self, msg):
+            return "replication" if msg.payload % 2 else "cpu"
+
+    echo = Routed(env, "echo", cost_model=CostModel(
+        costs={"Ping": lambda msg: msg.size_bytes * 0.01}))
+    caller = Caller(env, "caller")
+    caller.send(echo, Ping(0, size_bytes=10))   # warms the plan: cpu, 0.1 s
+    env.run()
+    start = env.now
+    caller.send(echo, Ping(1, size_bytes=20))   # replication lane, 0.2 s
+    caller.send(echo, Ping(2, size_bytes=30))   # cpu lane, 0.3 s
+    env.run()
+    assert [p for _, p in echo.seen] == [0, 1, 2]
+    # lanes in parallel, each slot its own size: not 0.201 then 0.501
+    assert [t - start for t, _ in echo.seen[1:]] == pytest.approx(
+        [0.201, 0.301])
+    assert echo.lane_of(Ping(3)) == "replication"
+
+
 def test_cost_model_callable_and_per_byte():
     model = CostModel(default=1.0,
                       costs={"Ping": lambda msg: msg.payload * 0.5},

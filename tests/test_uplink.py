@@ -1,13 +1,17 @@
 """Tests for the partition → Eunomia uplink (batching, acks, heartbeats)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.clocks import HybridLogicalClock, PhysicalClock
 from repro.core import EunomiaConfig
 from repro.core.messages import AddOpBatch, BatchAck, PartitionHeartbeat
 from repro.core.uplink import EunomiaUplink
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.kvstore.types import Update
 from repro.sim import ConstantLatency, Environment, Network, Process
+from repro.workload import WorkloadSpec
 
 
 class Host(Process):
@@ -196,3 +200,79 @@ def test_straggler_interval_respected(env):
     assert replica.batches == []  # nothing shipped before the long tick
     env.run(until=0.11)
     assert len(replica.batches) == 1
+
+
+@pytest.mark.parametrize("config", [
+    EunomiaConfig(),
+    EunomiaConfig(fault_tolerant=True, n_replicas=2),
+], ids=["non_ft", "ft_r2"])
+def test_no_tick_both_ships_a_frame_and_heartbeats(monkeypatch, config):
+    """Alg. 2 heartbeats only when idle: across a lossless geo run, no
+    uplink tick ships a frame and also sends a heartbeat."""
+    frames = Counter()
+    ticks = Counter()   # (shipped, heartbeat) -> ticks
+    transmit, flush = EunomiaUplink._transmit, EunomiaUplink._flush
+
+    def counted_transmit(uplink, *args, **kwargs):
+        frames[uplink] += 1
+        return transmit(uplink, *args, **kwargs)
+
+    def observed_flush(uplink):
+        sent, beats = frames[uplink], uplink.heartbeats_sent
+        flush(uplink)
+        ticks[frames[uplink] > sent, uplink.heartbeats_sent > beats] += 1
+
+    monkeypatch.setattr(EunomiaUplink, "_transmit", counted_transmit)
+    monkeypatch.setattr(EunomiaUplink, "_flush", observed_flush)
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=4,
+                         seed=13)
+    system = build_geo_system("eunomia", spec,
+                              WorkloadSpec(read_ratio=0.5, n_keys=200),
+                              config=config)
+    system.run(0.5)
+    assert ticks[True, True] == 0
+    assert ticks[True, False] > 0 and ticks[False, True] > 0
+
+
+class TimedReplica(FakeReplica):
+    """Records the arrival time of every frame and heartbeat."""
+
+    def __init__(self, env, name):
+        super().__init__(env, name)
+        self.arrivals = {"frame": set(), "heartbeat": set()}
+
+    def on_add_op_batch(self, msg, src):
+        self.arrivals["frame"].add(self.now)
+        super().on_add_op_batch(msg, src)
+
+    def on_partition_heartbeat(self, msg, src):
+        self.arrivals["heartbeat"].add(self.now)
+        super().on_partition_heartbeat(msg, src)
+
+
+def test_no_replica_gets_a_frame_and_a_heartbeat_from_one_tick(env):
+    """With R=2 Alg. 2 is applied per replica: while one replica's lossy
+    link forces retransmissions, the other may be heartbeated in the same
+    tick, but no replica receives both from one tick.  A heartbeat
+    interval below the batch interval passes the clock test on every
+    tick, so only the outstanding-ops test holds the line.  Costs are
+    zero and latency constant, so one tick's sends reach a replica at one
+    instant."""
+    network = Network(env, ConstantLatency(0.0001))
+    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
+                           resend_timeout=0.005, heartbeat_interval=0.0005)
+    host = Host(env, config)
+    replicas = [TimedReplica(env, "r0"), TimedReplica(env, "r1")]
+    network.set_link_loss(host, replicas[1], 0.5)
+    host.uplink.set_replicas(replicas)
+    host.uplink.start()
+    for i in range(40):
+        env.loop.schedule(i * 0.0037,
+                          lambda: host.uplink.record(make_op(host)))
+    env.run(until=0.3)
+    assert host.uplink.retransmissions > 0
+    for replica in replicas:
+        frames, beats = (replica.arrivals["frame"],
+                         replica.arrivals["heartbeat"])
+        assert frames and beats
+        assert not frames & beats
