@@ -62,10 +62,10 @@ def bench_event_loop_throughput_batched(benchmark):
     ``bench_event_loop_throughput`` pays one scheduled event per op — the
     pre-batching shape, where per-event loop overhead bounds how much
     simulated load CI can afford.  Here one ``schedule_periodic`` handle
-    consumes a 64-op block per firing (the ``OpBlock`` /
-    ``send_many`` shipping shape), so the loop schedules ~1/64th the events
-    for the same op count; the ratio between the two benches is the
-    amortization the batched APIs buy.
+    consumes a 64-op block per firing (the ``OpBlock`` shipping shape),
+    so the loop schedules ~1/64th the events for the same op count; the
+    ratio between the two benches is the amortization the batched APIs
+    buy.
     """
     BLOCK = 64
     TOTAL = 50_048                   # 782 block firings x 64 ops
@@ -88,41 +88,6 @@ def bench_event_loop_throughput_batched(benchmark):
         return count[0]
 
     assert benchmark(run_blocks) == TOTAL
-
-
-def bench_network_message_round_batched(benchmark):
-    """The ~20k-message workload shipped as ``send_many`` batches.
-
-    Jitter-free latency collapses each 64-message batch into ONE
-    ``deliver_batch`` event whose zero-cost messages dispatch inline — the
-    paper-scale shipping path (`RunBuffer` propagation, Alg. 5 streams).
-    Compare against ``bench_network_message_round``: same message count,
-    two scheduled events per message there versus ~1/64 here.
-    """
-
-    class Pong:
-        size_bytes = 16
-
-    class Sink(Process):
-        received = 0
-
-        def on_pong(self, msg, src):
-            self.received += 1
-
-    BATCH, ROUNDS = 64, 312          # 19 968 messages ≈ the 20k round bench
-
-    def bulk_ship():
-        env = Environment(seed=1)
-        net = Network(env, ConstantLatency(0.0001))
-        a, b = Sink(env, "a"), Sink(env, "b")
-        batch = [Pong() for _ in range(BATCH)]
-        for i in range(ROUNDS):
-            env.loop.schedule(i * 0.001,
-                              lambda: net.send_many(a, b, batch))
-        env.run()
-        return b.received
-
-    assert benchmark(bulk_ship) == BATCH * ROUNDS
 
 
 def bench_hybrid_clock_updates(benchmark):
@@ -191,8 +156,13 @@ def bench_failure_tables_unarmed_overhead(benchmark):
         return time.perf_counter() - start, events
 
     timed(False), timed(True)                      # warm caches
-    plain = min(timed(False)[0] for _ in range(3))
-    armed = min(timed(True)[0] for _ in range(3))
+    # Alternate the two shapes so a slow stretch of the host (another
+    # process, a frequency change) lands on both sides, not on one block.
+    plain_runs, armed_runs = [], []
+    for _ in range(3):
+        plain_runs.append(timed(False)[0])
+        armed_runs.append(timed(True)[0])
+    plain, armed = min(plain_runs), min(armed_runs)
     # generous bound: this is a no-measurable-cost contract, not a perf
     # target — a table lookup regression shows up as 2x+, noise as <15%
     assert armed <= plain * 1.25, (

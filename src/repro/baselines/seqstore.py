@@ -221,7 +221,6 @@ class SequencerProtocol(ProtocolSpec):
                                 repair=True)
         receiver = Receiver(site.env, f"dc{site.dc_id}/receiver", site.dc_id,
                             site.n_dcs,
-                            check_interval=config.receiver_check_interval,
                             calibration=site.calibration,
                             metrics=site.metrics,
                             placement=site.partial_placement())

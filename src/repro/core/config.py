@@ -2,8 +2,10 @@
 
 Defaults mirror the paper's evaluation: partitions contact Eunomia every
 millisecond (batching, §5/§7.1), Eunomia computes stability every few
-milliseconds (θ), receivers poll pending queues every millisecond (ρ), and
-heartbeats fire when a partition has been idle for Δ = one batching interval.
+milliseconds (θ), and heartbeats fire when a partition has been idle for
+Δ = one batching interval.  The paper's receiver also polls its pending
+queues every ρ; this one flushes on every event that can release an
+update instead (see :mod:`repro.geo.receiver`), so ρ is not a tunable.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ class EunomiaConfig:
 
     #: θ — period of Eunomia's PROCESS_STABLE (Alg. 3 line 7).
     stabilization_interval: float = 0.005
-
-    #: ρ — period of the receiver's CHECK_PENDING (Alg. 5 line 3).
-    receiver_check_interval: float = 0.001
 
     #: Ship update payloads partition→sibling-partition, metadata-only
     #: through Eunomia (§5 "Separation of Data and Metadata").
@@ -127,7 +126,7 @@ class EunomiaConfig:
         if self.n_replicas > 1 and not self.fault_tolerant:
             raise ValueError("multiple replicas require fault_tolerant=True")
         for name in ("batch_interval", "heartbeat_interval",
-                     "stabilization_interval", "receiver_check_interval"):
+                     "stabilization_interval"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.replica_suspect_timeout <= self.replica_alive_interval:

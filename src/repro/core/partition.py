@@ -82,6 +82,10 @@ class EunomiaPartition(Process):
         self._seq = 0
         self._pending_data: dict[tuple, tuple[Update, float]] = {}
         self._pending_apply: dict[tuple, tuple[Update, Process]] = {}
+        #: origin dc -> (ts, partition, seq) of the last update applied
+        #: from it; the receiver releases each origin's stream in this
+        #: order, so anything at or below it is a re-sent duplicate
+        self._last_applied: list[tuple] = [(0, -1, -1)] * n_dcs
         self.local_updates = 0
         self.remote_applies = 0
 
@@ -185,6 +189,14 @@ class EunomiaPartition(Process):
 
     def on_apply_remote(self, msg: ApplyRemote, src: Process) -> None:
         update = msg.update
+        if ((update.ts, update.partition_index, update.seq)
+                <= self._last_applied[update.origin_dc]):
+            # Already applied: a recovered receiver re-sent its in-flight
+            # head.  The first apply consumed the payload, so waiting for
+            # one would park the release forever; ack again, execute
+            # nothing.
+            self.send(src, ApplyRemoteOk(update.uid))
+            return
         if update.value is None:
             held = self._pending_data.pop(update.uid, None)
             if held is None:
@@ -204,6 +216,8 @@ class EunomiaPartition(Process):
                         receiver: Process) -> None:
         self.store.put(update.key, Versioned(update.value, update.ts,
                                              update.origin_dc, update.vts))
+        self._last_applied[update.origin_dc] = (
+            update.ts, update.partition_index, update.seq)
         self.remote_applies += 1
         now = self.now
         extra_ms = max(0.0, (now - data_arrival) * 1e3)

@@ -88,7 +88,6 @@ class EunomiaProtocol(ProtocolSpec):
         )
         receiver = Receiver(
             site.env, f"dc{site.dc_id}/receiver", site.dc_id, site.n_dcs,
-            check_interval=config.receiver_check_interval,
             calibration=cal, metrics=site.metrics, placement=pmap,
         )
         receiver.set_partitions(site.ring, partitions)
@@ -203,8 +202,6 @@ class Datacenter:
             start = getattr(proc, "start", None)
             if start is not None:
                 start()
-        if self.receiver is not None:
-            self.receiver.start()
 
     # ------------------------------------------------------------------
     # Introspection

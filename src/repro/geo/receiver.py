@@ -25,11 +25,13 @@ StableAnnounce and the crash — are filtered as a columnar prefix (one
 bisection over the frame's ``ts`` column) against the last enqueued
 position per origin.
 
-**Grouped shipping** rides on top of the algorithm (the batched
-dataplane, see docs/ARCHITECTURE.md): a flush pass collects its release
-decisions and ships consecutive same-partition ones through
-``send_many``, which is RNG- and FIFO-identical to per-op ``send``
-(bit-for-bit, golden-pinned).
+Algorithm 5 runs FLUSH from a CHECK_PENDING pass every ρ.  This receiver
+runs it from the events that can make a head releasable instead, so it
+needs no timer: a head's gate only opens when its queue gains a head
+(batch arrival), its origin's in-flight apply completes (ack), or
+SiteTime advances (ack, or skipping a non-resident head under partial
+placement) — and every SiteTime advance is followed by a rescan of every
+origin.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class Receiver(Process):
     """r_m: queues remote update streams and applies them causally."""
 
     def __init__(self, env: Environment, name: str, dc_id: int, n_dcs: int,
-                 check_interval: float,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
                  placement=None):
@@ -66,7 +67,6 @@ class Receiver(Process):
         super().__init__(env, name, site=dc_id, cost_model=cost_model)
         self.dc_id = dc_id
         self.n_dcs = n_dcs
-        self.check_interval = check_interval
         self.metrics = metrics or NullMetrics()
         #: partial geo-replication (None = full): origins whose resident
         #: set is disjoint from ours get no queue at all — the
@@ -85,6 +85,8 @@ class Receiver(Process):
         self._last_enqueued: list[tuple] = [(0, -1, -1)] * n_dcs
         #: origin -> its one in-flight update (stop-and-wait release)
         self._inflight: dict[int, Update] = {}
+        #: uids re-sent by :meth:`recover`; each may be acked twice
+        self._resent: set[tuple] = set()
         self.ring: Optional[ConsistentHashRing] = None
         self.partitions: list[Process] = []
         self.applied = 0
@@ -99,22 +101,19 @@ class Receiver(Process):
         self.ring = ring
         self.partitions = list(partitions)
 
-    def start(self) -> None:
-        # CHECK_PENDING every ρ (Alg. 5 line 3) — a safety net for updates
-        # whose dependencies were satisfied by a *different* origin's apply.
-        self.periodic(self.check_interval, self._flush_all)
-
     def recover(self) -> None:
         """Resume after a crash-stop (queues and SiteTime intact).
 
-        The crash retired the CHECK_PENDING periodic and dropped any
-        in-flight ApplyRemote/ApplyRemoteOk exchange, so clear the
-        in-flight markers (re-sending an already-applied update is safe:
-        the partition's LWW put is idempotent and re-acks) and re-arm.
+        The crash dropped any in-flight ApplyRemote/ApplyRemoteOk
+        exchange, so clear the in-flight markers and release every head
+        again.  Re-sending an update the partition already applied is
+        safe: the partition acks it again without re-executing it.  If the
+        first ack was only delayed, not dropped, the head is acked twice,
+        so its uid is remembered and the later ack ignored.
         """
         super().recover()
+        self._resent.update(u.uid for u in self._inflight.values())
         self._inflight.clear()
-        self.start()
         self._flush_all()
 
     # ------------------------------------------------------------------
@@ -141,9 +140,10 @@ class Receiver(Process):
         if i < n:
             self._last_enqueued[k] = (ts_col[-1], origin_col[-1], seq_col[-1])
             queue.extend(block.payload[i:])
-        sends: list = []
-        self._try_flush(k, sends)
-        self._ship(sends)
+        if self._try_flush(k):
+            # A skipped non-resident head advanced SiteTime[k], which may
+            # satisfy other origins' waiting heads.
+            self._flush_all()
 
     # ------------------------------------------------------------------
     # FLUSH (Alg. 5 lines 5–20, origins progress concurrently)
@@ -152,45 +152,16 @@ class Receiver(Process):
         # Skipping a non-resident head advances SiteTime, which can
         # unblock origins already visited this pass — loop until a pass
         # makes no skip progress.  Full replication never skips, so this
-        # is exactly one pass (the historical behavior).
-        sends: list = []
+        # is exactly one pass.
         progress = True
         while progress:
             progress = False
             for k in self.queues:
-                if self._try_flush(k, sends):
+                if self._try_flush(k):
                     progress = True
-        self._ship(sends)
 
-    def _ship(self, sends: list) -> None:
-        """Dispatch collected (target, message) pairs.
-
-        Consecutive sends to the same partition go through ``send_many``,
-        whose contract is RNG- and FIFO-identical to the per-message loop
-        (one delay draw per message, in issue order; only messages that
-        would land at the *same* instant merge into one delivery event) —
-        the grouped receiver flush is therefore golden-safe by the same
-        argument as the §5 uplink batching.
-        """
-        i, n = 0, len(sends)
-        while i < n:
-            target, msg = sends[i]
-            j = i + 1
-            while j < n and sends[j][0] is target:
-                j += 1
-            if j - i == 1:
-                self.send(target, msg)
-            else:
-                self.send_many(target, [pair[1] for pair in sends[i:j]])
-            i = j
-
-    def _try_flush(self, k: int, sends: list) -> bool:
-        """Advance origin ``k``'s queue; True iff any head was skipped.
-
-        Release messages are appended to ``sends`` (shipped by the caller
-        in issue order) rather than sent inline, so one CHECK_PENDING pass
-        can group same-partition releases into a single network batch.
-        """
+    def _try_flush(self, k: int) -> bool:
+        """Advance origin ``k``'s queue; True iff any head was skipped."""
         if k in self._inflight:
             return False  # condition (1): strictly in-order within an origin
         queue = self.queues[k]
@@ -215,8 +186,18 @@ class Receiver(Process):
         if tracer is not None:
             tracer.stage_once(update, "recv_apply", self.now, self.dc_id)
         self._inflight[k] = update
-        sends.append((target, ApplyRemote(update)))
+        self._ship(((target, ApplyRemote(update)),))
         return skipped
+
+    def _ship(self, sends) -> None:
+        """Send each ``(target, message)`` pair, in order.
+
+        Every release is shipped alone, the moment it is decided; the
+        method survives only as the entry point the per-layer benchmark
+        wraps to count releases.
+        """
+        for target, msg in sends:
+            self.send(target, msg)
 
     def _resident(self, update: Update) -> bool:
         return (self.placement is None
@@ -254,11 +235,14 @@ class Receiver(Process):
 
     def on_apply_remote_ok(self, msg: ApplyRemoteOk, src: Process) -> None:
         k = msg.uid[0]
-        update = self._inflight.pop(k, None)
+        update = self._inflight.get(k)
         if update is None or update.uid != msg.uid:
+            if msg.uid in self._resent:
+                return  # the other ack of a head re-sent by recover()
             raise RuntimeError(
                 f"receiver {self.name}: unexpected apply ack {msg.uid}"
             )
+        del self._inflight[k]
         self.queues[k].popleft()
         self._advance_site_time(k, update)
         self.applied += 1

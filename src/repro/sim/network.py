@@ -160,77 +160,13 @@ class Network:
 
     def send_many(self, src: Process, dst: Process,
                   msgs: Sequence[Any]) -> None:
-        """Transmit a batch of messages over one link, one event per group.
+        """Transmit ``msgs`` over one link: exactly a loop of :meth:`send`.
 
-        Semantically identical to calling :meth:`send` once per message, in
-        order: the per-message loss and latency draws consume the network
-        RNG in exactly the same sequence, and the per-link FIFO clamp is
-        applied message by message.  The difference is purely mechanical —
-        messages that end up with the *same* delivery time (always the case
-        under jitter-free latency models, where the FIFO clamp makes
-        deliver-at times non-decreasing and batches collapse) are scheduled
-        as ONE event that hands the whole group to
-        :meth:`repro.sim.process.Process.deliver_batch`.  Consecutive
-        sequence numbers mean no foreign event can interleave a same-time
-        group, so the merged firing is order-isomorphic to the per-message
-        schedule.
+        Nothing in the simulator calls it; the name stays as an entry
+        point that external instrumentation wraps.
         """
-        n = len(msgs)
-        if n == 0:
-            return
-        if n == 1:
-            self.send(src, dst, msgs[0])
-            return
-        self.messages_attempted += n
-        key = (src.pid, dst.pid)
-        if src.crashed or (self._blocked and key in self._blocked):
-            self.messages_dropped += n
-            return
-        rate = (self._link_loss.get(key, self.loss_rate)
-                if self._link_loss else self.loss_rate)
-        loop = self._loop
-        now = loop._now
-        latency_delay = self.latency.delay
-        rng = self._rng
-        extra = (self._link_extra_delay.get(key, 0.0)
-                 if self._link_extra_delay else 0.0)
-        previous = self._last_delivery.get(key)
-        group: list[Any] = []
-        group_at = 0.0
-        delivered = 0
-        bytes_out = 0
         for msg in msgs:
-            if rate > 0.0 and rng.random() < rate:
-                self.messages_dropped += 1
-                continue
-            deliver_at = now + latency_delay(src, dst, rng) + extra
-            if previous is not None and deliver_at < previous:
-                deliver_at = previous
-            previous = deliver_at
-            delivered += 1
-            bytes_out += getattr(msg, "size_bytes", 0)
-            if group and deliver_at == group_at:
-                group.append(msg)
-                continue
-            self._flush_group(group, group_at, dst, src)
-            group = [msg]
-            group_at = deliver_at
-        self._flush_group(group, group_at, dst, src)
-        if previous is not None:
-            self._last_delivery[key] = previous
-        self.messages_sent += delivered
-        self.bytes_sent += bytes_out
-
-    def _flush_group(self, group: list, deliver_at: float, dst: Process,
-                     src: Process) -> None:
-        """Schedule one pending delivery group (no-op when empty)."""
-        if not group:
-            return
-        if len(group) == 1:
-            self._loop.schedule_at(deliver_at, dst.deliver, group[0], src)
-        else:
-            self._loop.schedule_at(deliver_at, dst.deliver_batch,
-                                   tuple(group), src)
+            self.send(src, dst, msg)
 
     def multicast(self, src: Process, dsts: Iterable[Process],
                   msg: Any) -> None:

@@ -174,16 +174,6 @@ class Process:
         """Send ``msg`` to ``dst`` over the environment's network."""
         self.env.network.send(self, dst, msg)
 
-    def send_many(self, dst: "Process", msgs) -> None:
-        """Ship a batch of messages to ``dst`` as one network batch.
-
-        Order, FIFO, and per-message loss statistics match a loop of
-        :meth:`send` calls exactly (see
-        :meth:`repro.sim.network.Network.send_many`); same-delivery-time
-        runs collapse into a single scheduled event.
-        """
-        self.env.network.send_many(self, dst, msgs)
-
     def multicast(self, dsts, msg: Any) -> None:
         """Fan one message out to every destination, in iteration order."""
         self.env.network.multicast(self, dsts, msg)
@@ -261,70 +251,14 @@ class Process:
         if not self.crashed and self._epoch == epoch:
             handler(msg, src)
 
-    def deliver_batch(self, msgs: tuple, src: "Process") -> None:
-        """One network batch arriving as a single event (``send_many``).
+    def deliver_batch(self, msgs, src: "Process") -> None:
+        """Deliver ``msgs`` back to back: exactly a loop of :meth:`deliver`.
 
-        Equivalence contract: the observable behaviour must match ``msgs``
-        being delivered back to back at the same instant.  Free messages
-        (zero service cost, one shared lane) dispatch as one merged group —
-        a single event replaces the whole per-message ``_enqueue`` fan —
-        which is where batched delivery earns its throughput.  The group
-        run is scheduled one hop later (like ``_enqueue``'s zero-cost run),
-        not dispatched inline: per-message delivery always takes two hops,
-        so an inline dispatch would let the group overtake a same-time
-        single message whose run event is already queued.  Any message
-        with a nonzero cost falls back to the exact per-message
-        service-queue path, since merging *those* would move their
-        individual completion times.
+        Nothing in the simulator schedules it; the name stays as an entry
+        point that external instrumentation wraps.
         """
-        if self.crashed:
-            return
-        plans = self._plans
-        lane_of = self.lane_of
-        served = []
-        free = True
         for msg in msgs:
-            plan = plans.get(type(msg))
-            if plan is None:
-                plan = self._plan(type(msg))
-            cost, cost_fn, handler, lane = plan
-            if cost_fn is not None:
-                cost = cost_fn(msg)
-            if lane is None:
-                lane = lane_of(msg)
-            if cost:
-                free = False
-            served.append((cost, lane, handler))
-        loop = self._loop
-        now = loop._now
-        busy = self._lane_busy
-        if free:
-            lanes = {lane for _, lane, _ in served}
-            if len(lanes) == 1 and not busy.get(lanes.pop(), 0.0) > now:
-                loop.schedule_at(now, self._run_group, self._epoch,
-                                 [handler for _, _, handler in served],
-                                 msgs, src)
-                return
-        run_delivery = self._run_delivery
-        epoch = self._epoch
-        for msg, (cost, lane, handler) in zip(msgs, served):
-            start = busy.get(lane, 0.0)
-            if start < now:
-                start = now
-            complete = start + cost
-            busy[lane] = complete
-            loop.schedule_at(complete, run_delivery, epoch, handler, msg, src)
-
-    def _run_group(self, epoch: int, handlers: list, msgs: tuple,
-                   src: "Process") -> None:
-        """Fire one merged free-message group (``deliver_batch``)."""
-        for handler, msg in zip(handlers, msgs):
-            # A handler may crash (or crash+recover) the process mid-batch;
-            # the per-message path's delivery guard drops the remainder, so
-            # the group run must too.
-            if self.crashed or self._epoch != epoch:
-                return
-            handler(msg, src)
+            self.deliver(msg, src)
 
     def _enqueue(self, fn: Callable[[], Any], cost: float,
                  lane: str = "cpu") -> None:

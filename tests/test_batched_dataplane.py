@@ -1,30 +1,21 @@
 """Equivalence of the batched dataplane against its per-op semantics.
 
-The dataplane batches two hot lanes — the partition→Eunomia uplink
-(suffix-reuse frame cache) and the receiver's grouped FLUSH shipping
-(``send_many`` over consecutive same-partition releases).  Each batching
-layer claims a precise equivalence with the per-op code it replaced, and
-each claim gets the strongest test it supports:
-
-* the **frame cache** is a pure memoization — disabling it (rebuilding
-  every retransmission suffix from the pending columns) must leave the
-  whole run *bit-identical*, including under the loss-induced ack stalls
-  that make the cache fire in the first place;
-* **grouped shipping** rides the ``send_many`` contract (one RNG draw per
-  message, issue order, FIFO) — reverting the receiver to per-op ``send``
-  must also be bit-identical.
+The partition→Eunomia uplink reuses retransmission frames (a suffix
+cache).  The cache is a pure memoization: disabling it (rebuilding every
+retransmission suffix from the pending columns) must leave the whole run
+*bit-identical*, including under the loss-induced ack stalls that make
+the cache fire in the first place.
 
 A scripted receiver harness additionally drives at-least-once re-shipped
-stable streams through the stop-and-wait FLUSH and checks exactly-once,
-per-origin in-order application.
+stable streams (columnar ``OpBlock`` frames) through the stop-and-wait
+FLUSH and checks exactly-once, per-origin in-order application.
 
-Observability-attached variants guard the instruments' no-perturbation
-promise on every batched path.
+An observability-attached variant guards the instruments'
+no-perturbation promise on the cached path.
 """
 
 from __future__ import annotations
 
-import types
 from collections import defaultdict
 
 from hypothesis import given, settings
@@ -66,50 +57,6 @@ _WINDOW = st.tuples(
 )
 
 _PLANS = st.lists(_WINDOW, min_size=0, max_size=3)
-
-
-def _arm_interdc_faults(system, plan) -> None:
-    """Perturb the lanes feeding the grouped receiver flush.
-
-    Faults respect each lane's delivery contract (the same rule the chaos
-    matrix follows): the propagator→receiver stream is fire-and-forget,
-    so it only takes *gray* (slow-not-dead) windows — a dropped
-    RemoteStableBatch is unrecoverable by design — while loss and cuts go
-    on the partition↔stabilizer lane, where the uplink's at-least-once
-    retransmission recovers them.  Both shapes stall and then burst the
-    stable streams, which is exactly what drives large grouped flushes.
-    """
-    sched = system.failures()
-    dcs = system.datacenters
-    net = system.env.network
-    for start, dur, kind, a_idx, off in plan:
-        a = dcs[a_idx]
-        b = dcs[(a_idx + off) % len(dcs)]
-        if kind == "gray":
-            lane = [(p, b.receiver) for p in a.propagators()]
-            sched.degrade_links_at(start, lane, 0.015)
-            sched.restore_links_at(start + dur, lane)
-            continue
-        replicas = sorted({r for p in a.partitions
-                           for r in p.uplink.replicas},
-                          key=lambda proc: proc.name)
-        if kind == "cut":
-            sched.partition_at(start, list(a.partitions), replicas)
-            sched.heal_at(start + dur, list(a.partitions), replicas)
-        else:
-            pairs = [(p, r) for p in a.partitions for r in p.uplink.replicas]
-            pairs += [(r, p) for p, r in pairs]
-
-            def begin(ps=pairs):
-                for s, d in ps:
-                    net.set_link_loss(s, d, 0.4)
-
-            def end(ps=pairs):
-                for s, d in ps:
-                    net.set_link_loss(s, d, 0.0)
-
-            sched.at(start, begin, "loss-on")
-            sched.at(start + dur, end, "loss-off")
 
 
 def _arm_uplink_faults(system, plan) -> None:
@@ -227,9 +174,8 @@ def _run_receiver(streams, schedule):
     log: list[tuple[int, tuple]] = []
     partitions = [_StubPartition(env, f"p{i}", i, log) for i in range(2)]
     origins = {k: Process(env, f"origin{k}") for k in schedule}
-    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3, check_interval=0.005)
+    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3)
     receiver.set_partitions(ConsistentHashRing(2), partitions)
-    receiver.start()
     for k, frames in schedule.items():
         for when, lo, hi in frames:
             chunk = tuple(streams[k][lo:hi])
@@ -345,42 +291,3 @@ def test_uplink_frame_cache_pure_with_observability():
     cached, _, _ = _run_uplink(7, plan, cache=True, observe=True)
     rebuilt, _, _ = _run_uplink(7, plan, cache=False, observe=True)
     assert cached == rebuilt
-
-
-# ----------------------------------------------------------------------
-# Grouped FLUSH shipping: bit-identical to per-op sends
-# ----------------------------------------------------------------------
-def _per_op_ship(self, sends):
-    for target, msg in sends:
-        self.send(target, msg)
-
-
-def _run_grouped(seed: int, plan, grouped: bool, observe: bool = False):
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
-    system = _system(seed, config)
-    if not grouped:
-        for dc in system.datacenters:
-            dc.receiver._ship = types.MethodType(_per_op_ship, dc.receiver)
-    _arm_interdc_faults(system, plan)
-    if observe:
-        system.observe(sample_every=16)
-    system.run(RUN_S)
-    system.quiesce(DRAIN_S)
-    return run_fingerprint(system)
-
-
-@settings(max_examples=6, deadline=None)
-@given(plan=_PLANS, seed=st.integers(min_value=0, max_value=2**10))
-def test_grouped_flush_shipping_bit_identical(plan, seed):
-    """``send_many`` grouping of consecutive same-partition releases is
-    RNG- and FIFO-identical to the per-op ``send`` loop it replaced —
-    the whole-run fingerprint (stores + ordered visibility series) must
-    not move a bit, faults included."""
-    assert (_run_grouped(seed, plan, grouped=True)
-            == _run_grouped(seed, plan, grouped=False))
-
-
-def test_grouped_flush_shipping_bit_identical_with_observability():
-    plan = [(0.3, 0.25, "gray", 0, 2)]
-    assert (_run_grouped(3, plan, grouped=True, observe=True)
-            == _run_grouped(3, plan, grouped=False, observe=True))

@@ -125,6 +125,33 @@ def test_eunomia_partition_recovery_rearms_uplink():
                   "uplink was not re-armed")
 
 
+@pytest.mark.parametrize("down_s", [0.005, 1e-6])
+def test_eunomia_receiver_recovery_reacks_applied_head(down_s):
+    """Crash a receiver right after it puts an apply in flight.  Recovery
+    re-sends that head; the partition may already have applied it (and
+    consumed its RemoteData), so it must ack again rather than park the
+    release waiting for a payload that never comes.  Down for 5 ms, the
+    original ack is dropped and the origin's stream stalled for good
+    before the fix; down for 1 µs, the original ack arrives after
+    recovery too, and the receiver must ignore the second one."""
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=8,
+                         seed=3)
+    system = build_geo_system("eunomia", spec,
+                              WorkloadSpec(read_ratio=0.1, n_keys=100))
+    system.run(0.5)
+    receiver = system.datacenters[0].receiver
+    while not receiver._inflight:
+        system.env.loop.step()
+    receiver.crash()
+    system.failures().recover_at(system.env.now + down_s, receiver)
+    system.run(0.5)
+    system.quiesce(2.0)
+    assert sum(dc.receiver.backlog() for dc in system.datacenters) == 0
+    assert not any(p._pending_apply for dc in system.datacenters
+                   for p in dc.partitions)
+    assert system.converged()
+
+
 # ----------------------------------------------------------------------
 # Schedule determinism & serialization
 # ----------------------------------------------------------------------

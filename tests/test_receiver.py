@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
+from repro.core.placement import PlacementMap
 from repro.geo.receiver import Receiver
 from repro.kvstore.ring import ConsistentHashRing
 from repro.kvstore.types import Update
@@ -31,12 +32,10 @@ def make_update(dc, ts, vts, seq=None, partition=0, key="k"):
 @pytest.fixture
 def rig(env, metrics):
     Network(env, ConstantLatency(0.0001))
-    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, check_interval=0.001,
-                        metrics=metrics)
+    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, metrics=metrics)
     log = []
     partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
     receiver.set_partitions(ConsistentHashRing(2), partitions)
-    receiver.start()
     sender = Process(env, "eunomia-remote")
     return env, receiver, sender, log
 
@@ -130,3 +129,39 @@ def test_unexpected_ack_raises(rig):
     sender.send(receiver, ApplyRemoteOk((1, 0, 77)))
     with pytest.raises(RuntimeError):
         env.run(until=0.01)
+
+
+def test_nonresident_skip_rescans_other_origins(env):
+    """Partial placement: dc0 stores only partition 0.  Origin 2's head
+    waits on SiteTime[1] >= 10; origin 1's batch carries only a partition-1
+    op at ts 10, which dc0 skips.  The skip advances SiteTime[1], and the
+    receiver must release origin 2's head in that same handler call — no
+    periodic pass exists to find it later."""
+    Network(env, ConstantLatency(0.0001))
+    placement = PlacementMap(3, 2, {0: [0], 1: [0, 1], 2: [0, 1]})
+    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, placement=placement)
+    ring = ConsistentHashRing(2)
+    log = []
+    receiver.set_partitions(
+        ring, [RecordingPartition(env, f"p{i}", log) for i in range(2)])
+    sent = []
+    forward = receiver.send
+
+    def spy(dst, msg):
+        sent.append((type(msg).__name__, msg.update.uid))
+        forward(dst, msg)
+
+    receiver.send = spy
+    sender = Process(env, "eunomia-remote")
+    key = next(k for k in range(100) if ring.partition_for(k) == 0)
+    waiting = make_update(2, 5, (0, 10, 5), key=key)
+    receiver.on_remote_stable_batch(RemoteStableBatch(2, (waiting,)), sender)
+    assert sent == []                      # SiteTime[1] = 0 < 10
+    skipped = make_update(1, 10, (0, 10, 0), partition=1)
+    receiver.on_remote_stable_batch(RemoteStableBatch(1, (skipped,)), sender)
+    assert receiver.skipped_nonresident == 1
+    assert receiver.site_time[1] == 10
+    assert sent == [("ApplyRemote", waiting.uid)]
+    env.run(until=0.01)
+    assert log == [waiting.uid]
+    assert receiver.backlog() == 0

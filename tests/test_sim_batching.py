@@ -1,13 +1,11 @@
-"""Property test for the batched simulation core.
+"""Property test for the simulation core's batch entry point.
 
-**``send_many`` is a loop of ``send``.**  Batched transmission over a
-link must produce byte-for-byte the same delivery log — per-message
-delivery times, per-link FIFO order, loss outcomes, and all four network
-counters — as sending the same messages one at a time, because both
-consume the network RNG in the same sequence.  Only the *event count* may
-differ (same-time groups collapse into one ``deliver_batch``), which is
-invisible at the (time, payload) level.  If this broke, the goldens would
-drift and every experiment figure would silently change.
+**``send_many`` is a loop of ``send``.**  Transmission of a list of
+messages over a link must produce byte-for-byte the same delivery log —
+per-message delivery times, per-link FIFO order, loss outcomes, and all
+four network counters — as sending the same messages one at a time.  No
+protocol calls ``send_many``; it is kept as a named entry point for
+external instrumentation, and this test holds it to the plain path.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -82,18 +80,9 @@ def _drive(batches, loss_rate, jitter, seed, batched):
 def test_send_many_matches_send_loop(batches, loss_rate, jitter, seed):
     """Same seed, same messages: the batched and per-message transmissions
     must agree on every delivery time, each message's loss outcome, all
-    four counters, and per-batch delivery order.  Constant latency makes
-    whole batches collapse into ``deliver_batch`` groups (the interesting
-    path); jittered latency scatters them into singletons; loss drops
-    messages mid-batch, splitting groups.
-
-    The full delivery *order* is additionally identical except for one
-    documented tie-break: when two separate transmissions land at the very
-    same instant (possible under jitter via the FIFO clamp), inline batch
-    dispatch and the per-message service hop interleave same-time ties
-    differently — times and payloads still match as a multiset, and each
-    batch stays internally FIFO.  Without jitter, distinct send times give
-    distinct delivery times, so the strict order must match too."""
+    four counters, and per-batch delivery order, under constant and
+    jittered latency, with and without loss.  Without jitter the strict
+    delivery order must match as well."""
     loop_log, loop_counters = _drive(batches, loss_rate, jitter, seed,
                                      batched=False)
     many_log, many_counters = _drive(batches, loss_rate, jitter, seed,
